@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -56,7 +55,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_STRUCTURE = 2
 
-_BOOL_FACTS = ("atoroidal", "planar", "split", "trivial-link")
+_BOOL_FACTS = ("atoroidal", "planar", "split")
 _EDGE_FACTS = ("tunnel", "knotting-arc")
 
 
@@ -97,13 +96,8 @@ def _emit(reports: list[_FileReport], fmt: str) -> int:
     return max((r.code for r in reports), default=EXIT_OK)
 
 
-def _run_per_file(paths, worker, jobs: int, fmt: str) -> int:
-    if jobs > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(worker, paths))
-    else:
-        reports = [worker(p) for p in paths]
-    return _emit(reports, fmt)
+def _run_per_file(paths, worker, fmt: str) -> int:
+    return _emit([worker(p) for p in paths], fmt)
 
 
 # --- enumerate -------------------------------------------------------------------
@@ -382,23 +376,25 @@ def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
     try:
         if g.kind in ("theta", "handcuff"):
             attach_evidence(g, facts)
+        report.say("constituents:")
+        constituents = []
+        for piece in constituent_links(g):
+            if len(piece.edges) == 1:
+                name = piece.edges[0].id
+                delta = alexander_polynomial(piece)
+                constituents.append({"component": name, "alexander": str(delta)})
+                report.say(f"  knot {name}: alexander {delta}")
+            else:
+                a, b = (e.id for e in piece.edges)
+                lk = linking_number(piece, a, b)
+                constituents.append({"components": [a, b], "linking_number": lk})
+                report.say(f"  link {{{a}, {b}}}: lk = {lk}")
+    except StructureError as err:
+        report.fail(EXIT_STRUCTURE, f"{path}: {err}")
+        return report
     except ContradictionError as err:
         report.fail(EXIT_VIOLATION, f"contradiction: {err}")
         return report
-
-    report.say("constituents:")
-    constituents = []
-    for piece in constituent_links(g):
-        if len(piece.edges) == 1:
-            name = piece.edges[0].id
-            delta = alexander_polynomial(piece)
-            constituents.append({"component": name, "alexander": str(delta)})
-            report.say(f"  knot {name}: alexander {delta}")
-        else:
-            a, b = (e.id for e in piece.edges)
-            lk = linking_number(piece, a, b)
-            constituents.append({"components": [a, b], "linking_number": lk})
-            report.say(f"  link {{{a}, {b}}}: lk = {lk}")
     report.data["constituents"] = constituents
 
     group, mm = h1_complement(g)
@@ -488,9 +484,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
-    multi = argparse.ArgumentParser(add_help=False)
-    multi.add_argument("--jobs", type=int, default=1,
-                       help="process files concurrently")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -502,23 +495,23 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip the single-bigon exclusion to see what it removes")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("validate", parents=[common, multi],
+    p = sub.add_parser("validate", parents=[common],
                        help="check diagram files against the constraints")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=lambda args: _run_per_file(
-        args.files, _validate_worker, args.jobs, args.format))
+        args.files, _validate_worker, args.format))
 
-    p = sub.add_parser("classify", parents=[common, multi],
+    p = sub.add_parser("classify", parents=[common],
                        help="type, realization and derived facts of diagrams")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=lambda args: _run_per_file(
-        args.files, _classify_worker, args.jobs, args.format))
+        args.files, _classify_worker, args.format))
 
-    p = sub.add_parser("symmetry", parents=[common, multi],
+    p = sub.add_parser("symmetry", parents=[common],
                        help="symmetry-group bounds from the label table")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=lambda args: _run_per_file(
-        args.files, _symmetry_worker, args.jobs, args.format))
+        args.files, _symmetry_worker, args.format))
 
     p = sub.add_parser("loop", parents=[common],
                        help="loop a graph code at a vertex")
@@ -551,18 +544,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", required=True, help="two names, e.g. a,b")
     p.set_defaults(func=_cmd_linking)
 
-    p = sub.add_parser("analyze", parents=[common, multi],
+    p = sub.add_parser("analyze", parents=[common],
                        help="full report on a graph code")
     p.add_argument("files", nargs="+")
     p.add_argument("--assert", dest="assertions", action="append", default=[],
                    metavar="KEY=VALUE",
                    help="facts about the looping source: atoroidal, planar, "
-                        "split, trivial-link, tunnel=<edge>, knotting-arc=<edge>, "
+                        "split, tunnel=<edge>, knotting-arc=<edge>, "
                         "trivial-knot=<comp>, nontrivial-knot=<comp>")
     p.set_defaults(func=lambda args: _run_per_file(
         args.files,
         lambda path: _analyze_worker(path, tuple(args.assertions)),
-        args.jobs, args.format))
+        args.format))
 
     return parser
 

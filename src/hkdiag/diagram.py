@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class StructureError(ValueError):
@@ -226,35 +226,21 @@ def classify_type(d: CharDiagram) -> DiagramType:
     )
 
 
-def _node_signature(n: Node) -> tuple[str, int]:
-    return (n.kind.value, -1 if n.genus is None else n.genus)
-
-
 def are_isomorphic(d1: CharDiagram, d2: CharDiagram) -> bool:
     """Node-decoration-preserving multigraph isomorphism."""
-    if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
-        return False
-    sig1 = sorted(_node_signature(n) for n in d1.nodes)
-    sig2 = sorted(_node_signature(n) for n in d2.nodes)
-    if sig1 != sig2:
-        return False
-    edges1 = sorted(d1.edges)
-    for perm in itertools.permutations(d2.nodes):
-        if any(_node_signature(a) != _node_signature(b) for a, b in zip(d1.nodes, perm)):
-            continue
-        rename = {a.id: b.id for a, b in zip(d1.nodes, perm)}
-        mapped = sorted(tuple(sorted((rename[a], rename[b]))) for a, b in d1.edges)
-        if mapped == sorted(d2.edges):
-            return True
-    return False
+    return canonical_form(d1) == canonical_form(d2)
 
 
-def canonical_form(d: CharDiagram) -> str:
+def canonical_form(d: CharDiagram, labels: Sequence[str] | None = None) -> str:
     """A string equal for two diagrams exactly when they are isomorphic.
 
-    Minimizes a plain-text encoding over all node orderings; the diagrams
-    here never exceed four nodes, so the search is trivial.
+    With `labels`, one string per edge, each label is appended to its
+    edge's endpoint pair, so the isomorphism must carry labels along; without
+    them the edges are bare. Minimizes a plain-text encoding over all node
+    orderings; the diagrams here never exceed four nodes, so the search is
+    trivial.
     """
+    suffixes = [""] * len(d.edges) if labels is None else [f":{lab}" for lab in labels]
     best = None
     for perm in itertools.permutations(range(len(d.nodes))):
         index = {d.nodes[orig].id: new for new, orig in enumerate(perm)}
@@ -263,9 +249,10 @@ def canonical_form(d: CharDiagram) -> str:
             for orig in perm
         )
         edges_part = ",".join(
-            f"{min(index[a], index[b])}-{max(index[a], index[b])}"
-            for a, b in sorted(
-                d.edges, key=lambda e: (min(index[e[0]], index[e[1]]), max(index[e[0]], index[e[1]]))
+            f"{i}-{j}{suffix}"
+            for i, j, suffix in sorted(
+                (min(index[a], index[b]), max(index[a], index[b]), suffix)
+                for (a, b), suffix in zip(d.edges, suffixes, strict=True)
             )
         )
         encoding = nodes_part + "|" + edges_part

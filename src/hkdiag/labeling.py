@@ -28,9 +28,9 @@ from fractions import Fraction
 from .diagram import (
     CharDiagram,
     DiagramType,
-    Node,
     StructureError,
     Violation,
+    canonical_form,
     classify_type,
     diagram_to_json_dict,
     diagram_from_json_dict,
@@ -251,35 +251,13 @@ def validate_labels(ad: AnnulusDiagram) -> list[Violation]:
     return out
 
 
+def _labeled_key(ad: AnnulusDiagram) -> str:
+    return canonical_form(ad.base, [str(lab) for lab in ad.labels])
+
+
 def labeled_isomorphic(ad1: AnnulusDiagram, ad2: AnnulusDiagram) -> bool:
     """Isomorphism of the bases carrying the labels along."""
-    d1, d2 = ad1.base, ad2.base
-    if len(d1.nodes) != len(d2.nodes) or len(d1.edges) != len(d2.edges):
-        return False
-
-    def pair_labels(ad: AnnulusDiagram, a: str, b: str):
-        key = tuple(sorted((a, b)))
-        return sorted(
-            str(lab) for e, lab in zip(ad.base.edges, ad.labels) if e == key
-        )
-
-    def signature(n: Node):
-        return (n.kind.value, n.genus)
-
-    for perm in itertools.permutations(d2.nodes):
-        if any(signature(a) != signature(b) for a, b in zip(d1.nodes, perm)):
-            continue
-        rename = {a.id: b.id for a, b in zip(d1.nodes, perm)}
-        ok = True
-        for a, b in set(d1.edges):
-            if pair_labels(ad1, a, b) != pair_labels(ad2, rename[a], rename[b]):
-                ok = False
-                break
-        if ok and sorted(
-            tuple(sorted((rename[a], rename[b]))) for a, b in d1.edges
-        ) == sorted(d2.edges):
-            return True
-    return False
+    return _labeled_key(ad1) == _labeled_key(ad2)
 
 
 # --- what a valid labeled diagram implies ------------------------------------
@@ -481,15 +459,12 @@ def label_catalog() -> tuple[CatalogEntry, ...]:
     entries: list[CatalogEntry] = []
     for d in _base_diagrams():
         alphabets = [_alphabet_for(d, i) for i in range(len(d.edges))]
-        kept: list[AnnulusDiagram] = []
+        kept: dict[str, AnnulusDiagram] = {}
         for assignment in itertools.product(*alphabets):
             ad = AnnulusDiagram.build(d, assignment)
-            if validate_labels(ad):
-                continue
-            if any(labeled_isomorphic(ad, seen) for seen in kept):
-                continue
-            kept.append(ad)
-        for ad in kept:
+            if not validate_labels(ad):
+                kept.setdefault(_labeled_key(ad), ad)
+        for ad in kept.values():
             dtype = classify_type(d)
             kinds = ad.label_kinds
             entries.append(CatalogEntry(

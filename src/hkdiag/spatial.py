@@ -1059,6 +1059,7 @@ def parse_code(text: str) -> SpatialGraphCode:
     edge_passes: dict[str, list[Pass]] = {}
     signs: dict[str, int] = {}
     meta: dict[str, str] = {}
+    meta_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1118,7 +1119,7 @@ def parse_code(text: str) -> SpatialGraphCode:
                 key, eq, value = token.partition("=")
                 if not eq:
                     raise StructureError(f"bad meta token {token!r}", lineno)
-                meta[key] = value
+                meta[key], meta_lines[key] = value, lineno
         else:
             raise StructureError(f"unknown directive {directive!r}", lineno)
 
@@ -1129,25 +1130,43 @@ def parse_code(text: str) -> SpatialGraphCode:
         for name in edge_names
     )
     crossings = tuple(Crossing(cid, s) for cid, s in sorted(signs.items()))
-    return SpatialGraphCode(kind, tuple(vertices), edges, crossings, _prov_from_meta(meta))
+    return SpatialGraphCode(kind, tuple(vertices), edges, crossings,
+                            _prov_from_meta(meta, meta_lines))
 
 
-def _prov_from_meta(meta: dict[str, str]) -> Provenance | None:
+def _meta_int(meta: dict[str, str], lines: dict[str, int], key: str) -> int | None:
+    if key not in meta:
+        return None
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise StructureError(
+            f"meta {key} must be an integer, got {meta[key]!r}", lines[key]) from None
+
+
+def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance | None:
+    """Provenance from `meta` tokens; `lines` holds each key's line number."""
     if not meta:
         return None
     if "origin" not in meta:
-        raise StructureError("meta needs an origin")
+        raise StructureError("meta needs an origin", min(lines.values()))
     known = {key for key, _ in _PROV_KEYS}
     for key in meta:
         if key not in known:
-            raise StructureError(f"unknown meta key {key!r}")
+            raise StructureError(f"unknown meta key {key!r}", lines[key])
+    if meta["origin"] not in ("family", "looping"):
+        raise StructureError(
+            f"meta origin must be family or looping, got {meta['origin']!r}", lines["origin"])
+    loopings = _meta_int(meta, lines, "loopings") or 0
+    if loopings < 0:
+        raise StructureError("meta loopings must not be negative", lines["loopings"])
     return Provenance(
         origin=meta["origin"],
         source_kind=meta.get("source-kind"),
         looping_kind=meta.get("looping-kind"),
-        loopings=int(meta.get("loopings", "0")),
+        loopings=loopings,
         family=meta.get("family"),
-        n=int(meta["n"]) if "n" in meta else None,
+        n=_meta_int(meta, lines, "n"),
         variant=meta.get("variant"),
         mirror=meta.get("mirror") == "true",
     )

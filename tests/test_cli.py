@@ -95,7 +95,7 @@ class AnnulusFileTests(unittest.TestCase):
     def test_validate_many_files_worst_code_wins(self):
         good = self.path("good.txt", H1_DIAGRAM)
         bad = self.path("bad.txt", BAD_LABELS)
-        code, out, _ = run(["validate", good, bad, "--jobs", "2", "--format", "json"])
+        code, out, _ = run(["validate", good, bad, "--format", "json"])
         self.assertEqual(code, 1)
         data = json.loads(out)
         self.assertEqual(len(data), 2)
@@ -330,6 +330,12 @@ class AnalyzeTests(unittest.TestCase):
         code, _, _ = self.analyze_json(p, "flavor=salty")
         self.assertEqual(code, 2)
 
+    def test_trivial_link_is_not_an_assertion_key(self):
+        p = self.build("theta.txt", "torus-link", "--n", "3", "--tunnel")
+        code, data, _ = self.analyze_json(p, "trivial-link=true")
+        self.assertEqual(code, 2)
+        self.assertIn("unknown assertion key", data["errors"][0])
+
     def test_text_and_json_agree_on_class(self):
         p = self.build("h.txt", "torus-link", "--n", "4", "--tunnel")
         argv = [p, "--assert", "atoroidal=true", "--assert", "planar=false",
@@ -374,6 +380,24 @@ class AnalyzeTests(unittest.TestCase):
         code, data, _ = self.analyze_json(p)
         self.assertEqual(code, 1)
         self.assertTrue(data["violations"])
+
+    def test_analyze_rejects_bad_meta(self):
+        p = str(Path(self.tmp.name) / "meta.txt")
+        for token in ("n=abc", "loopings=abc", "loopings=-1", "origin=nonsense"):
+            Path(p).write_text(f"graph link\nedge k\nmeta origin=family {token}\n")
+            code, data, _ = self.analyze_json(p)
+            self.assertEqual(code, 2, token)
+            self.assertIn("line 3", data["errors"][0])
+
+    def test_analyze_rejects_unpaired_linking_signs(self):
+        p = str(Path(self.tmp.name) / "odd.txt")
+        Path(p).write_text("graph link\nedge a\nedge b\n"
+                           "pass a x1 over sign=+\npass b x1 under sign=+\n")
+        code, data, _ = self.analyze_json(p)
+        self.assertEqual(code, 2)
+        self.assertIn("odd.txt: inter-component crossing signs", data["errors"][0])
+        code, _, _ = run(["linking", p, "--components", "a,b"])
+        self.assertEqual(code, 2)
 
 
 class DataOverrideTests(unittest.TestCase):

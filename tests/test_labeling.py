@@ -1,10 +1,14 @@
 """Label syntax, the rules R1..R8, the catalog, and symmetry bounds."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from iso_oracle import brute_force_isomorphic
 
-from hkdiag.diagram import CharDiagram, Node, NodeKind, classify_type
+from hkdiag.diagram import CharDiagram, Node, NodeKind, canonical_form, classify_type
 from hkdiag.labeling import (
     AnnulusDiagram,
     EdgeLabel,
@@ -287,7 +291,59 @@ def test_catalog_entries_validate(catalog):
 def test_catalog_entries_distinct(catalog):
     for i, e1 in enumerate(catalog):
         for e2 in catalog[i + 1:]:
-            assert not labeled_isomorphic(e1.diagram, e2.diagram)
+            a, b = e1.diagram, e2.diagram
+            assert not brute_force_isomorphic(a.base, b.base, a.labels, b.labels)
+
+
+# --- labeled canonical form ----------------------------------------------------------
+
+# the catalog alphabet plus slopes whose spelling has commas and minus signs
+LABEL_TOKENS = ("h1", "h2", "k1", "k2(2)", "em", "l(2/3,3/2)", "l(2/3,6)", "l0",
+                "k2(5/2)", "k2(-5/2)")
+
+
+@st.composite
+def labeled_diagrams(draw):
+    kind = draw(st.sampled_from([HOLLOW, SOLID]))
+    extra = draw(st.integers(min_value=0, max_value=3))
+    ids = ["v"] + [f"s{i}" for i in range(1, extra + 1)]
+    pairs = [(a, a) for a in ids] + list(itertools.combinations(ids, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    tokens = draw(st.lists(st.sampled_from(LABEL_TOKENS),
+                           min_size=len(edges), max_size=len(edges)))
+    return labeled(kind, extra, edges, [parse_label(t) for t in tokens])
+
+
+def _relabeled(ad, rng):
+    """The same labeled diagram under a random node renaming and edge reordering."""
+    nodes = list(ad.base.nodes)
+    rng.shuffle(nodes)
+    rename = {n.id: f"n{i}" for i, n in enumerate(nodes)}
+    edges = [((rename[a], rename[b]), lab) for (a, b), lab in zip(ad.base.edges, ad.labels)]
+    rng.shuffle(edges)
+    base = CharDiagram.build([Node(rename[n.id], n.kind, n.genus) for n in nodes],
+                             [e for e, _ in edges])
+    return AnnulusDiagram.build(base, [lab for _, lab in edges])
+
+
+def _key(ad):
+    return canonical_form(ad.base, [str(lab) for lab in ad.labels])
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_diagrams(), labeled_diagrams(), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=2), st.sampled_from(LABEL_TOKENS))
+def test_labeled_canonical_form_decides_isomorphism(ad, other, seed, index, token):
+    renamed = _relabeled(ad, random.Random(seed))
+    assert _key(renamed) == _key(ad)
+    labels = list(renamed.labels)
+    if labels:
+        labels[index % len(labels)] = parse_label(token)
+    mutated = AnnulusDiagram.build(renamed.base, labels)
+    for candidate in (renamed, mutated, other):
+        expected = brute_force_isomorphic(ad.base, candidate.base, ad.labels, candidate.labels)
+        assert (_key(ad) == _key(candidate)) == expected
+        assert labeled_isomorphic(ad, candidate) == expected
 
 
 # --- formats -----------------------------------------------------------------------

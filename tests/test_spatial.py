@@ -713,6 +713,13 @@ def test_parse_rejects_garbage():
         parse_code("graph link\npass k x1 over sign=+\n")
 
 
+@pytest.mark.parametrize("token", ["n=abc", "loopings=abc", "loopings=-1", "origin=nonsense"])
+def test_parse_rejects_bad_meta(token):
+    with pytest.raises(StructureError) as err:
+        parse_code(f"graph link\nedge k\nmeta origin=family\nmeta {token}\n")
+    assert err.value.line == 4
+
+
 def test_validate_catches_unpaired_crossing():
     g = SpatialGraphCode(
         "link", (),
