@@ -14,188 +14,17 @@ The package splits into five layers:
   and Alexander polynomial certificates.
 """
 
-from .diagram import (
-    CharDiagram,
-    DiagramType,
-    Node,
-    NodeKind,
-    StructureError,
-    Violation,
-    are_isomorphic,
-    canonical_form,
-    classify_type,
-    diagram_from_json_dict,
-    diagram_to_json_dict,
-    enumerate_valid,
-    format_diagram,
-    parse_diagram,
-    realization_status,
-    solid_base_annotation,
-    validate,
-)
-from .homology import (
-    INFINITE,
-    AbelianGroup,
-    IntMatrix,
-    KleinCaseGroup,
-    LaurentPoly,
-    LoopClass,
-    SlopeShape,
-    invariant_factors_of,
-    klein_case_group,
-    meridional_pair_predict,
-    primitivity_necessary,
-    slope_pair_classify,
-    smith_normal_form,
-    subgroup_index,
-)
-from .labeling import (
-    AnnulusDiagram,
-    CatalogEntry,
-    EdgeLabel,
-    Fact,
-    GroupBound,
-    SymmetryBounds,
-    annulus_from_json_dict,
-    annulus_to_json_dict,
-    derived_facts,
-    format_annulus,
-    is_fourone,
-    label_catalog,
-    labeled_isomorphic,
-    parse_annulus,
-    parse_label,
-    symmetry_bounds,
-    validate_labels,
-)
-from .spatial import (
-    AnnulusPrediction,
-    ContradictionError,
-    Crossing,
-    EdgeCode,
-    FactSet,
-    GraphClass,
-    Pass,
-    Provenance,
-    SpatialGraphCode,
-    Transition,
-    Unclassified,
-    VertexCode,
-    classify_atoroidal,
-    closed_braid,
-    constituent_links,
-    family_odd_ringed,
-    family_torus_link,
-    format_code,
-    linking_number,
-    loop_at,
-    looping_kind,
-    looping_transition,
-    mirror_code,
-    parse_code,
-    predicted_annulus,
-    resolve_end,
-    type_three_two_linking_test,
-    validate_code,
-)
-from .wirtinger import (
-    EdgeWalk,
-    Meridian,
-    MeridianMap,
-    UnderPassWord,
-    alexander_polynomial,
-    attach_evidence,
-    h1_complement,
-    loop_class,
-    loop_classes,
-)
+from . import diagram, homology, labeling, spatial, wirtinger
+from .diagram import *  # noqa: F401,F403
+from .homology import *  # noqa: F401,F403
+from .labeling import *  # noqa: F401,F403
+from .spatial import *  # noqa: F401,F403
+from .wirtinger import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroup",
-    "AnnulusDiagram",
-    "AnnulusPrediction",
-    "CatalogEntry",
-    "CharDiagram",
-    "ContradictionError",
-    "Crossing",
-    "DiagramType",
-    "EdgeCode",
-    "EdgeLabel",
-    "EdgeWalk",
-    "Fact",
-    "FactSet",
-    "GraphClass",
-    "GroupBound",
-    "INFINITE",
-    "IntMatrix",
-    "KleinCaseGroup",
-    "LaurentPoly",
-    "LoopClass",
-    "Meridian",
-    "MeridianMap",
-    "Node",
-    "NodeKind",
-    "Pass",
-    "Provenance",
-    "SlopeShape",
-    "SpatialGraphCode",
-    "StructureError",
-    "SymmetryBounds",
-    "Transition",
-    "Unclassified",
-    "UnderPassWord",
-    "VertexCode",
-    "Violation",
-    "alexander_polynomial",
-    "annulus_from_json_dict",
-    "annulus_to_json_dict",
-    "are_isomorphic",
-    "attach_evidence",
-    "canonical_form",
-    "classify_atoroidal",
-    "classify_type",
-    "closed_braid",
-    "constituent_links",
-    "derived_facts",
-    "diagram_from_json_dict",
-    "diagram_to_json_dict",
-    "enumerate_valid",
-    "family_odd_ringed",
-    "family_torus_link",
-    "format_annulus",
-    "format_code",
-    "format_diagram",
-    "h1_complement",
-    "invariant_factors_of",
-    "is_fourone",
-    "klein_case_group",
-    "label_catalog",
-    "labeled_isomorphic",
-    "linking_number",
-    "loop_at",
-    "loop_class",
-    "loop_classes",
-    "looping_kind",
-    "looping_transition",
-    "meridional_pair_predict",
-    "mirror_code",
-    "parse_annulus",
-    "parse_code",
-    "parse_diagram",
-    "parse_label",
-    "predicted_annulus",
-    "primitivity_necessary",
-    "realization_status",
-    "resolve_end",
-    "slope_pair_classify",
-    "smith_normal_form",
-    "solid_base_annotation",
-    "subgroup_index",
-    "symmetry_bounds",
-    "type_three_two_linking_test",
-    "validate",
-    "validate_code",
-    "validate_labels",
-]
+__all__ = sorted(
+    name
+    for module in (diagram, homology, labeling, spatial, wirtinger)
+    for name in module.__all__
+)

@@ -10,6 +10,7 @@ for malformed input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -46,7 +47,6 @@ from .spatial import (
     predicted_annulus,
     resolve_end,
     type_three_two_linking_test,
-    validate_code,
     _prov_items,
 )
 from .wirtinger import alexander_polynomial, attach_evidence, h1_complement
@@ -354,11 +354,10 @@ def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
         report.data["provenance"] = dict(_prov_items(g.provenance))
         report.say(f"provenance: {summary}")
 
-    problems = validate_code(g)
-    report.data["violations"] = [{"code": v.code, "message": v.message} for v in problems]
-    if problems:
+    report.data["violations"] = [{"code": v.code, "message": v.message} for v in g.violations]
+    if g.violations:
         report.code = EXIT_VIOLATION
-        for v in problems:
+        for v in g.violations:
             report.say(f"violation [{v.code}] {v.message}")
         return report
 
@@ -385,10 +384,10 @@ def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
                 constituents.append({"component": name, "alexander": str(delta)})
                 report.say(f"  knot {name}: alexander {delta}")
             else:
-                a, b = (e.id for e in piece.edges)
-                lk = linking_number(piece, a, b)
-                constituents.append({"components": [a, b], "linking_number": lk})
-                report.say(f"  link {{{a}, {b}}}: lk = {lk}")
+                for a, b in itertools.combinations([e.id for e in piece.edges], 2):
+                    lk = linking_number(piece, a, b)
+                    constituents.append({"components": [a, b], "linking_number": lk})
+                    report.say(f"  link {{{a}, {b}}}: lk = {lk}")
     except StructureError as err:
         report.fail(EXIT_STRUCTURE, f"{path}: {err}")
         return report

@@ -573,7 +573,6 @@ def invariant_factors_of(m: IntMatrix) -> tuple[int, ...]:
 __all__ = [
     "AbelianGroup",
     "INFINITE",
-    "Index",
     "IntMatrix",
     "KleinCaseGroup",
     "LaurentPoly",
@@ -583,7 +582,6 @@ __all__ = [
     "klein_case_group",
     "meridional_pair_predict",
     "primitivity_necessary",
-    "random_unimodular",
     "slope_pair_classify",
     "smith_normal_form",
     "subgroup_index",

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .diagram import CharDiagram, Node, NodeKind, StructureError, Violation
 from .labeling import AnnulusDiagram, EdgeLabel
@@ -114,31 +117,48 @@ class SpatialGraphCode:
             raise StructureError(f"unknown graph kind {self.kind!r}")
         object.__setattr__(self, "crossings", tuple(sorted(self.crossings, key=lambda c: c.id)))
 
-    def edge(self, edge_id: str) -> EdgeCode:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
+    # Indices built once per object, on first use. cached_property writes to
+    # the instance __dict__, which a frozen dataclass allows; fields, eq and
+    # hash are untouched. Where ids repeat (validate_code rejects that) the
+    # first one wins, as a linear scan would have it.
 
-    def vertex(self, vertex_id: str) -> VertexCode:
-        for v in self.vertices:
-            if v.id == vertex_id:
-                return v
-        raise KeyError(vertex_id)
+    @cached_property
+    def _edges_by_id(self) -> dict[str, EdgeCode]:
+        return {e.id: e for e in reversed(self.edges)}
 
-    def sign(self, crossing_id: str) -> int:
-        for c in self.crossings:
-            if c.id == crossing_id:
-                return c.sign
-        raise KeyError(crossing_id)
+    @cached_property
+    def _vertices_by_id(self) -> dict[str, VertexCode]:
+        return {v.id: v for v in reversed(self.vertices)}
 
-    def crossing_passes(self) -> dict[str, list[tuple[str, int, str]]]:
-        """crossing id -> [(edge id, pass index, position), ...]"""
+    @cached_property
+    def _signs(self) -> dict[str, int]:
+        return {c.id: c.sign for c in reversed(self.crossings)}
+
+    @cached_property
+    def _passes(self) -> Mapping[str, tuple[tuple[str, int, str], ...]]:
         out: dict[str, list[tuple[str, int, str]]] = {}
         for e in self.edges:
             for i, p in enumerate(e.passes):
                 out.setdefault(p.crossing, []).append((e.id, i, p.position))
-        return out
+        return MappingProxyType({cid: tuple(entries) for cid, entries in out.items()})
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """validate_code of this code, computed once."""
+        return tuple(validate_code(self))
+
+    def edge(self, edge_id: str) -> EdgeCode:
+        return self._edges_by_id[edge_id]
+
+    def vertex(self, vertex_id: str) -> VertexCode:
+        return self._vertices_by_id[vertex_id]
+
+    def sign(self, crossing_id: str) -> int:
+        return self._signs[crossing_id]
+
+    def crossing_passes(self) -> Mapping[str, tuple[tuple[str, int, str], ...]]:
+        """crossing id -> ((edge id, pass index, position), ...), shared and read-only."""
+        return self._passes
 
 
 def validate_code(g: SpatialGraphCode) -> list[Violation]:
@@ -220,9 +240,8 @@ def _shape_violations(g: SpatialGraphCode) -> list[Violation]:
 
 
 def _require_valid(g: SpatialGraphCode) -> None:
-    problems = validate_code(g)
-    if problems:
-        raise StructureError(f"invalid code: {problems[0]}")
+    if g.violations:
+        raise StructureError(f"invalid code: {g.violations[0]}")
 
 
 def bridge_of(g: SpatialGraphCode) -> EdgeCode:
@@ -495,9 +514,8 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
 
     result = SpatialGraphCode("handcuff", tuple(new_vertices), tuple(new_edges),
                               crossings, prov)
-    problems = validate_code(result)
-    if problems:
-        raise StructureError(f"looping produced an invalid code: {problems[0]}")
+    if result.violations:
+        raise StructureError(f"looping produced an invalid code: {result.violations[0]}")
     return result
 
 
@@ -1170,3 +1188,35 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
         variant=meta.get("variant"),
         mirror=meta.get("mirror") == "true",
     )
+
+
+__all__ = [
+    "AnnulusPrediction",
+    "ContradictionError",
+    "Crossing",
+    "EdgeCode",
+    "FactSet",
+    "GraphClass",
+    "Pass",
+    "Provenance",
+    "SpatialGraphCode",
+    "Transition",
+    "Unclassified",
+    "VertexCode",
+    "classify_atoroidal",
+    "closed_braid",
+    "constituent_links",
+    "family_odd_ringed",
+    "family_torus_link",
+    "format_code",
+    "linking_number",
+    "loop_at",
+    "looping_kind",
+    "looping_transition",
+    "mirror_code",
+    "parse_code",
+    "predicted_annulus",
+    "resolve_end",
+    "type_three_two_linking_test",
+    "validate_code",
+]

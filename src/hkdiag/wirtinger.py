@@ -1,15 +1,16 @@
 """Abelianized presentations read off a diagram code.
 
-Splitting every strand of a code at its under-passes yields one generator
-per arc, a relation per under-pass identifying the arcs it separates, and a
-relation per trivalent vertex balancing the meridians of its three ends.
-The cokernel of that relation matrix is the first homology of the
-complement, and the change of basis from its normal form gives exact
-integer coordinates for every meridian.
+In the abelianized Wirtinger presentation an under-pass only identifies the
+two arcs of one strand that it separates, so the first homology of the
+complement is generated by one meridian per edge or circle. What remains is
+one relation per trivalent vertex, balancing the meridians of its three
+ends. The Smith normal form of that small relation matrix gives the group
+and exact integer coordinates for every meridian.
 
-The same arc bookkeeping drives the one-variable Alexander polynomial of a
-knot code, which in turn supplies computable nontriviality certificates for
-constituent knots of a graph code.
+Splitting the circle of a knot code at its under-passes gives the arcs of
+the Fox-calculus matrix behind the one-variable Alexander polynomial, which
+in turn supplies computable nontriviality certificates for constituent
+knots of a graph code.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .spatial import (
     EdgeCode,
     FactSet,
     SpatialGraphCode,
+    _require_valid,
     constituent_links,
     linking_number,
 )
@@ -62,84 +64,19 @@ class EdgeWalk:
 MarkedLoop = Meridian | UnderPassWord | EdgeWalk
 
 
-class _Arcs:
-    """Arc decomposition of a code: strands split at their under-passes."""
-
-    def __init__(self, g: SpatialGraphCode):
-        self.index: dict[tuple[str, int], int] = {}
-        self.arc_of_pos: dict[tuple[str, int], int] = {}
-        self.arc_count_of: dict[str, int] = {}
-        self.last_arc_of: dict[str, int] = {}
-        self.under_positions: dict[str, list[int]] = {}
-        counter = 0
-        for e in g.edges:
-            unders = [i for i, p in enumerate(e.passes) if p.position == "under"]
-            self.under_positions[e.id] = unders
-            if e.is_circle:
-                n_arcs = max(len(unders), 1)
-            else:
-                n_arcs = len(unders) + 1
-            self.arc_count_of[e.id] = n_arcs
-            self.last_arc_of[e.id] = n_arcs - 1
-            for j in range(n_arcs):
-                self.index[(e.id, j)] = counter
-                counter += 1
-            for i in range(len(e.passes)):
-                before = sum(1 for u in unders if u < i)
-                if e.is_circle and unders:
-                    self.arc_of_pos[(e.id, i)] = before % n_arcs
-                else:
-                    self.arc_of_pos[(e.id, i)] = min(before, n_arcs - 1)
-        self.count = counter
-        self._circle = {e.id: e.is_circle for e in g.edges}
-
-    def under_pair(self, edge_id: str, j: int) -> tuple[int, int]:
-        """Generator indices of the arcs entering and leaving under-pass j."""
-        m = len(self.under_positions[edge_id])
-        a_in = self.index[(edge_id, j)]
-        if self._circle[edge_id]:
-            a_out = self.index[(edge_id, (j + 1) % m)]
-        else:
-            a_out = self.index[(edge_id, j + 1)]
-        return a_in, a_out
-
-
-def _relation_rows(g: SpatialGraphCode, arcs: _Arcs) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for e in g.edges:
-        for j, _ in enumerate(arcs.under_positions[e.id]):
-            a_in, a_out = arcs.under_pair(e.id, j)
-            if a_in == a_out:
-                continue
-            row = [0] * arcs.count
-            row[a_out] += 1
-            row[a_in] -= 1
-            rows.append(row)
-    for v in g.vertices:
-        row = [0] * arcs.count
-        for eid, side in v.ends:
-            if side == 1:
-                row[arcs.index[(eid, arcs.last_arc_of[eid])]] += 1
-            else:
-                row[arcs.index[(eid, 0)]] -= 1
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class MeridianMap:
-    """Free-part coordinates for every meridian of a code."""
+    """Free-part coordinates for the meridian of every edge of a code."""
 
     group: AbelianGroup
-    _coords: tuple[tuple[int, ...], ...]
-    _arc_index: dict[tuple[str, int], int]
-
-    def arc_class(self, edge_id: str, arc: int) -> LoopClass:
-        return LoopClass(self._coords[self._arc_index[(edge_id, arc)]])
+    _coords: dict[str, tuple[int, ...]]
 
     def edge_class(self, edge_id: str) -> LoopClass:
-        """The meridian class of an edge; its arcs all agree."""
-        return self.arc_class(edge_id, 0)
+        """The meridian class of an edge or circle."""
+        try:
+            return LoopClass(self._coords[edge_id])
+        except KeyError:
+            raise StructureError(f"no edge named {edge_id!r}") from None
 
     def zero(self) -> LoopClass:
         return LoopClass((0,) * self.group.free_rank)
@@ -148,32 +85,41 @@ class MeridianMap:
 def h1_complement(g: SpatialGraphCode) -> tuple[AbelianGroup, MeridianMap]:
     """First homology of the complement, with meridian coordinates.
 
-    For a theta-curve or handcuff code the group is free of rank two; for a
-    link code it is free of rank the number of components. The coordinates
-    of each generator come from the change of basis that diagonalizes the
-    relation matrix, so meridian classes can be compared and combined
-    exactly.
+    The generators are the meridians of the edges and circles, in code
+    order. Each trivalent vertex gives one relation: the meridians of the
+    edges ending there (head ends) minus those leaving it (tail ends) sum
+    to zero. Under-passes add nothing, since in homology they only identify
+    arcs of one strand (Rolfsen, Knots and Links, 3.D). For a theta-curve or
+    handcuff code the group is free of rank two; for a link code it is free
+    of rank the number of components.
+
+    The basis is pinned by the one Smith normal form U R V = D of the
+    vertex relation matrix R: if D has r nonzero diagonal entries, the
+    meridian of the j-th edge has coordinates V[j][r:]. A link code has no
+    relations, so its i-th circle is the i-th unit vector. An invalid code
+    raises StructureError.
     """
-    arcs = _Arcs(g)
-    rows = _relation_rows(g, arcs)
-    group = AbelianGroup.from_presentation(arcs.count, rows)
+    _require_valid(g)
+    column = {e.id: j for j, e in enumerate(g.edges)}
+    rows = []
+    for v in g.vertices:
+        row = [0] * len(column)
+        for eid, side in v.ends:
+            row[column[eid]] += 1 if side == 1 else -1
+        rows.append(row)
     if rows:
-        matrix = IntMatrix.from_rows(rows)
-        d, _, v = smith_normal_form(matrix)
-        rank = sum(1 for i in range(min(d.nrows, d.ncols)) if d.entries[i][i] != 0)
-        coords = tuple(
-            tuple(v.entries[j][rank:]) for j in range(arcs.count)
-        )
+        d, _, basis = smith_normal_form(IntMatrix.from_rows(rows))
+        diagonal = [x for x in d.diagonal() if x]
     else:
-        coords = tuple(
-            tuple(1 if i == j else 0 for i in range(arcs.count))
-            for j in range(arcs.count)
-        )
-    return group, MeridianMap(group, coords, arcs.index)
+        basis, diagonal = IntMatrix.identity(len(column)), []
+    rank = len(diagonal)
+    group = AbelianGroup(len(column) - rank, tuple(x for x in diagonal if x > 1))
+    coords = {eid: tuple(basis.entries[j][rank:]) for eid, j in column.items()}
+    return group, MeridianMap(group, coords)
 
 
 def _over_edge(g: SpatialGraphCode, crossing_id: str) -> str:
-    for eid, _, position in g.crossing_passes()[crossing_id]:
+    for eid, _, position in g.crossing_passes().get(crossing_id, ()):
         if position == "over":
             return eid
     raise StructureError(f"crossing {crossing_id} has no over pass")
@@ -187,7 +133,10 @@ def _check_walk(g: SpatialGraphCode, steps: tuple[tuple[str, int], ...]) -> None
     for eid, direction in steps:
         if direction not in (1, -1):
             raise StructureError("walk directions must be +1 or -1")
-        e = g.edge(eid)
+        try:
+            e = g.edge(eid)
+        except KeyError:
+            raise StructureError(f"no edge named {eid!r}") from None
         if e.is_circle:
             raise StructureError("walks follow graph edges, not circles")
         s, t = (e.tail, e.head) if direction == 1 else (e.head, e.tail)
@@ -216,13 +165,11 @@ def loop_class(g: SpatialGraphCode, marked: MarkedLoop,
         return total
     if isinstance(marked, EdgeWalk):
         _check_walk(g, marked.steps)
-        uses = g.crossing_passes()
         for eid, direction in marked.steps:
-            e = g.edge(eid)
-            for p in e.passes:
+            for p in g.edge(eid).passes:
                 if p.position != "under":
                     continue
-                over = next(o for o, _, pos in uses[p.crossing] if pos == "over")
+                over = _over_edge(g, p.crossing)
                 factor = direction * g.sign(p.crossing)
                 total = total + mapping.edge_class(over).scaled(factor)
         return total
@@ -278,8 +225,14 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     if g.kind != "link" or len(g.edges) != 1:
         raise StructureError("the Alexander polynomial applies to knot codes")
     e = g.edges[0]
-    arcs = _Arcs(g)
-    unders = arcs.under_positions[e.id]
+    # Arc j runs from the j-th under-pass to the next one, cyclically; the
+    # arc through a pass is the count of under-passes before it.
+    unders: list[int] = []
+    arc_at: list[int] = []
+    for i, p in enumerate(e.passes):
+        arc_at.append(len(unders))
+        if p.position == "under":
+            unders.append(i)
     m = len(unders)
     if m <= 1:
         return LaurentPoly.constant(1)
@@ -293,10 +246,10 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     for j, position in enumerate(unders):
         crossing = e.passes[position].crossing
         sign = g.sign(crossing)
-        over_entry = next(
-            (eid, pos) for eid, pos, where in g.crossing_passes()[crossing] if where == "over"
+        over_pos = next(
+            pos for _, pos, where in g.crossing_passes()[crossing] if where == "over"
         )
-        c = arcs.arc_of_pos[(over_entry[0], over_entry[1])]
+        c = arc_at[over_pos] % m
         a = j
         b = (j + 1) % m
         row = [zero] * m
@@ -350,3 +303,16 @@ def attach_evidence(g: SpatialGraphCode, facts: FactSet) -> FactSet:
             if alexander_polynomial(_component_knot(link, name)) != one:
                 facts.set(f"knot-trivial:{name}", False, "computed")
     return facts
+
+
+__all__ = [
+    "EdgeWalk",
+    "Meridian",
+    "MeridianMap",
+    "UnderPassWord",
+    "alexander_polynomial",
+    "attach_evidence",
+    "h1_complement",
+    "loop_class",
+    "loop_classes",
+]

@@ -5,8 +5,11 @@ import tempfile
 import unittest
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
+from hkdiag import spatial, wirtinger
 from hkdiag.cli import main
+from hkdiag.spatial import closed_braid, format_code
 
 H1_DIAGRAM = "node v hollow genus=2\nedge v v label=h1\n"
 THETA_DIAGRAM = (
@@ -398,6 +401,53 @@ class AnalyzeTests(unittest.TestCase):
         self.assertIn("odd.txt: inter-component crossing signs", data["errors"][0])
         code, _, _ = run(["linking", p, "--components", "a,b"])
         self.assertEqual(code, 2)
+
+    def test_analyze_lists_every_pair_of_link_components(self):
+        p = str(Path(self.tmp.name) / "three.txt")
+        Path(p).write_text(format_code(closed_braid([(1, 1), (1, 1), (2, 1), (2, 1)], 3)))
+        code, data, _ = self.analyze_json(p)
+        self.assertEqual(code, 0)
+        self.assertEqual(data["constituents"], [
+            {"components": ["c1", "c2"], "linking_number": 1},
+            {"components": ["c1", "c3"], "linking_number": 0},
+            {"components": ["c2", "c3"], "linking_number": 1},
+        ])
+        self.assertEqual(data["homology"]["group"], "Z^3")
+        code, out, _ = run(["analyze", p])
+        self.assertEqual(code, 0)
+        self.assertIn("  link {c1, c2}: lk = 1\n  link {c1, c3}: lk = 0\n"
+                      "  link {c2, c3}: lk = 1\n", out)
+
+    def test_analyze_empty_link_lists_no_pairs(self):
+        p = str(Path(self.tmp.name) / "empty.txt")
+        Path(p).write_text("graph link\n")
+        code, data, _ = self.analyze_json(p)
+        self.assertEqual(code, 0)
+        self.assertEqual(data["constituents"], [])
+        self.assertEqual(data["homology"], {"group": "1", "meridians": {}})
+        code, out, _ = run(["analyze", p])
+        self.assertEqual(code, 0)
+        self.assertIn("constituents:\nhomology of the complement: 1\n", out)
+
+    def test_analyze_validates_each_code_and_reduces_once(self):
+        """One validate_code per code object and one Smith normal form per
+        analyze. The Alexander polynomial calls are not pinned here."""
+        theta = self.build("theta.txt", "torus-link", "--n", "5", "--tunnel")
+        handcuff = self.build("h.txt", "torus-link", "--n", "10", "--tunnel")
+        for path in (theta, handcuff):
+            with mock.patch.object(spatial, "validate_code", wraps=spatial.validate_code) as vc, \
+                    mock.patch.object(wirtinger, "smith_normal_form",
+                                      wraps=wirtinger.smith_normal_form) as snf:
+                code, _, _ = self.analyze_json(path, "atoroidal=true", "planar=false", "tunnel=t")
+            self.assertEqual(code, 0)
+            self.assertEqual(snf.call_count, 1, path)
+            validated = [c.args[0] for c in vc.call_args_list]
+            self.assertEqual(len({id(g) for g in validated}), len(validated), path)
+            if path == theta:
+                self.assertEqual(len(validated), 1)
+            else:
+                # the handcuff and the link of each constituent_links call
+                self.assertLessEqual(len(validated), 4)
 
 
 class DataOverrideTests(unittest.TestCase):

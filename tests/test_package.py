@@ -1,0 +1,36 @@
+"""The package namespace: hkdiag re-exports each module's __all__."""
+
+import hkdiag
+from hkdiag import diagram, homology, labeling, spatial, wirtinger
+
+EXPORTED = {
+    "AbelianGroup", "AnnulusDiagram", "AnnulusPrediction", "CatalogEntry",
+    "CharDiagram", "ContradictionError", "Crossing", "DiagramType", "EdgeCode",
+    "EdgeLabel", "EdgeWalk", "Fact", "FactSet", "GraphClass", "GroupBound", "INFINITE",
+    "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass", "Meridian",
+    "MeridianMap", "Node", "NodeKind", "Pass", "Provenance", "SlopeShape",
+    "SpatialGraphCode", "StructureError", "SymmetryBounds", "Transition",
+    "Unclassified", "UnderPassWord", "VertexCode", "Violation", "alexander_polynomial",
+    "annulus_from_json_dict", "annulus_to_json_dict", "are_isomorphic",
+    "attach_evidence", "canonical_form", "classify_atoroidal", "classify_type",
+    "closed_braid", "constituent_links", "derived_facts", "diagram_from_json_dict",
+    "diagram_to_json_dict", "enumerate_valid", "family_odd_ringed", "family_torus_link",
+    "format_annulus", "format_code", "format_diagram", "h1_complement",
+    "invariant_factors_of", "is_fourone", "klein_case_group", "label_catalog",
+    "labeled_isomorphic", "linking_number", "loop_at", "loop_class", "loop_classes",
+    "looping_kind", "looping_transition", "meridional_pair_predict", "mirror_code",
+    "parse_annulus", "parse_code", "parse_diagram", "parse_label", "predicted_annulus",
+    "primitivity_necessary", "realization_status", "resolve_end", "slope_pair_classify",
+    "smith_normal_form", "solid_base_annotation", "subgroup_index", "symmetry_bounds",
+    "type_three_two_linking_test", "validate", "validate_code", "validate_labels",
+}
+
+
+
+def test_exported_names_are_pinned():
+    assert sorted(hkdiag.__all__) == hkdiag.__all__
+    assert set(hkdiag.__all__) == EXPORTED
+    assert len(hkdiag.__all__) == len(EXPORTED)
+    for module in (diagram, homology, labeling, spatial, wirtinger):
+        for name in module.__all__:
+            assert getattr(hkdiag, name) is getattr(module, name), name

@@ -1,6 +1,13 @@
 """Spatial graph codes: constituents, looping, families, and predictions."""
 
+import itertools
+from importlib import resources
+
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix
+
+from h1_oracle import arc_h1
 
 from hkdiag.homology import LaurentPoly, subgroup_index
 from hkdiag.spatial import (
@@ -389,6 +396,82 @@ def test_edge_walk_must_close():
         loop_class(g, EdgeWalk((("ka", 1),)))
     with pytest.raises(StructureError):
         loop_class(g, EdgeWalk((("ka", 1), ("kb", -1))))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: loop_class(g, Meridian("zz")),
+    lambda g: loop_class(g, UnderPassWord((("nope", 1),))),
+    lambda g: loop_class(g, EdgeWalk((("zz", 1),))),
+    lambda g: h1_complement(g)[1].edge_class("zz"),
+    lambda g: h1_complement(parse_code("graph theta\nvertex u ends a.0\n")),
+], ids=["meridian", "under-pass-word", "edge-walk", "edge-class", "invalid-code"])
+def test_h1_bad_input_raises_structure_error(call):
+    with pytest.raises(StructureError):
+        call(family_torus_link(3, tunnel=True))
+
+
+def bundled_spine():
+    return parse_code(resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text())
+
+
+def test_meridian_basis_is_pinned():
+    """The coordinates printed by analyze: the README example, and the
+    identity basis of a link code."""
+    spine = bundled_spine()
+    pair = (resolve_end(spine, "u", "ka"), resolve_end(spine, "u", "kb"))
+    once = loop_at(spine, "u", pair, kind=looping_kind(spine, pair, "t"))
+    _, mm = h1_complement(once)
+    coords = {e.id: mm.edge_class(e.id).coords for e in once.edges}
+    assert coords == {"ka+kb": (1, 0), "t": (0, 0), "c1": (0, 1)}
+
+    link = closed_braid(braid(1, 1, 2, 2), 3)
+    assert [e.id for e in link.edges] == ["c1", "c2", "c3"]
+    group, mm = h1_complement(link)
+    assert str(group) == "Z^3"
+    assert [mm.edge_class(e.id).coords for e in link.edges] == [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@st.composite
+def braid_closures(draw):
+    strands = draw(st.integers(min_value=1, max_value=4))
+    letter = st.tuples(st.integers(min_value=1, max_value=max(strands - 1, 1)),
+                       st.sampled_from((1, -1)))
+    word = draw(st.lists(letter, max_size=40 if strands > 1 else 0))
+    return closed_braid(word, strands)
+
+
+@st.composite
+def tunnel_families(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    return family_torus_link(n, tunnel=True, mirror=draw(st.booleans()))
+
+
+@st.composite
+def spine_loopings(draw):
+    g = bundled_spine()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        v = draw(st.sampled_from(g.vertices))
+        pairs = [(p, q) for p, q in itertools.combinations(v.ends, 2) if p[0] != q[0]]
+        g = loop_at(g, v.id, draw(st.sampled_from(pairs)), mirror=draw(st.booleans()))
+    return g
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(braid_closures(), tunnel_families(), spine_loopings()))
+def test_h1_agrees_with_the_arc_presentation(g):
+    """Same group as the arc presentation, and meridian coordinates that
+    differ from the oracle's by a unimodular change of basis: N = O U."""
+    group, mm = h1_complement(g)
+    oracle_group, oracle = arc_h1(g)
+    assert group == oracle_group
+    o = Matrix([oracle[e.id] for e in g.edges])
+    n = Matrix([mm.edge_class(e.id).coords for e in g.edges])
+    # The meridians generate H1, so o has full column rank and U is unique.
+    u = (o.T * o).inv() * o.T * n
+    assert all(x.is_integer for x in u)
+    assert o * u == n
+    assert u.det() in (1, -1)
 
 
 # --- Alexander polynomials ------------------------------------------------------------
