@@ -10,7 +10,6 @@ for malformed input.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -49,7 +48,7 @@ from .spatial import (
     type_three_two_linking_test,
     _prov_items,
 )
-from .wirtinger import alexander_polynomial, attach_evidence, h1_complement
+from .wirtinger import attach_evidence, constituent_invariants, h1_complement
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -373,27 +372,31 @@ def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
         return report
 
     try:
-        if g.kind in ("theta", "handcuff"):
-            attach_evidence(g, facts)
-        report.say("constituents:")
-        constituents = []
-        for piece in constituent_links(g):
-            if len(piece.edges) == 1:
-                name = piece.edges[0].id
-                delta = alexander_polynomial(piece)
-                constituents.append({"component": name, "alexander": str(delta)})
-                report.say(f"  knot {name}: alexander {delta}")
-            else:
-                for a, b in itertools.combinations([e.id for e in piece.edges], 2):
-                    lk = linking_number(piece, a, b)
-                    constituents.append({"components": [a, b], "linking_number": lk})
-                    report.say(f"  link {{{a}, {b}}}: lk = {lk}")
+        # a failed certificate of a graph code is reported before the header,
+        # a failed linking number of a link code after it
+        if g.kind == "link":
+            report.say("constituents:")
+        invariants = constituent_invariants(g)
+        if g.kind != "link":
+            attach_evidence(g, facts, invariants)
+            report.say("constituents:")
     except StructureError as err:
         report.fail(EXIT_STRUCTURE, f"{path}: {err}")
         return report
     except ContradictionError as err:
         report.fail(EXIT_VIOLATION, f"contradiction: {err}")
         return report
+    # a constituent link lists its linking numbers, not its components' knots
+    knots, links = invariants
+    constituents = []
+    if links:
+        for (a, b), lk in links.items():
+            constituents.append({"components": [a, b], "linking_number": lk})
+            report.say(f"  link {{{a}, {b}}}: lk = {lk}")
+    else:
+        for name, delta in knots.items():
+            constituents.append({"component": name, "alexander": str(delta)})
+            report.say(f"  knot {name}: alexander {delta}")
     report.data["constituents"] = constituents
 
     group, mm = h1_complement(g)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence, Union
 
 
@@ -75,9 +75,6 @@ class IntMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
@@ -90,43 +87,51 @@ class IntMatrix:
             ))
         return IntMatrix(tuple(out))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
 
     def det(self) -> int:
-        """Determinant by the Bareiss fraction-free elimination.
-
-        All intermediate values are integers, so the result is exact.
-        """
-        n = self.nrows
-        if n != self.ncols:
+        """Determinant by Bareiss elimination (`bareiss_det`): O(n^3)
+        integer operations, every division exact."""
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return bareiss_det(self.entries)
 
     def is_unimodular(self) -> bool:
         return self.nrows == self.ncols and abs(self.det()) == 1
+
+
+def bareiss_det(rows: Sequence[Sequence], one=1):
+    """Determinant of a square matrix over an integral domain.
+
+    Bareiss fraction-free elimination (Math. Comp. 22, 1968): O(n^3) ring
+    operations, and by Sylvester's identity every division by the previous
+    pivot is exact. Entries need only `*`, `-`, exact `//` and truthiness,
+    so int and LaurentPoly both work; `one` is the ring's unit. Where an
+    update term is zero the entry is only rescaled, and a zero stays zero.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    negated = False
+    prev = one
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return a[k][k]
+            a[k], a[i] = a[i], a[k]
+            negated = not negated
+        pivot_row, pivot = a[k], a[k][k]
+        for row in a[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                if lead and pivot_row[j]:
+                    row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+                elif row[j]:
+                    row[j] = row[j] * pivot // prev
+        prev = pivot
+    det = a[n - 1][n - 1] if n else one
+    return -det if negated else det
 
 
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
@@ -248,8 +253,7 @@ class AbelianGroup:
                 raise ValueError("relation width disagrees with generator count")
         if not rows:
             return cls(generators)
-        d, _, _ = smith_normal_form(IntMatrix.from_rows(rows))
-        diag = [x for x in d.diagonal() if x]
+        diag = invariant_factors_of(IntMatrix.from_rows(rows))
         return cls(generators - len(diag), tuple(x for x in diag if x > 1))
 
     @property
@@ -316,14 +320,10 @@ def subgroup_index(classes: Sequence) -> Index:
     n = widths.pop()
     if n == 0:
         return 1
-    d, _, _ = smith_normal_form(IntMatrix.from_rows(vecs))
-    diag = [x for x in d.diagonal() if x]
+    diag = invariant_factors_of(IntMatrix.from_rows(vecs))
     if len(diag) < n:
         return INFINITE
-    index = 1
-    for x in diag:
-        index *= x
-    return index
+    return prod(diag)
 
 
 def primitivity_necessary(classes: Sequence) -> bool:
@@ -344,8 +344,7 @@ def primitivity_necessary(classes: Sequence) -> bool:
         raise ValueError("coordinate lengths disagree")
     if not vecs:
         raise ValueError("no classes given")
-    d, _, _ = smith_normal_form(IntMatrix.from_rows(vecs))
-    diag = [x for x in d.diagonal() if x]
+    diag = invariant_factors_of(IntMatrix.from_rows(vecs))
     return len(diag) == len(vecs) and all(x == 1 for x in diag)
 
 
@@ -510,6 +509,32 @@ class LaurentPoly:
                 coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly.from_dict(coeffs)
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Exact quotient by long division from the top exponent down;
+        ValueError if `other` does not divide self."""
+        if not other:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self:
+            return self
+        *rest, (top, lead) = other.terms
+        rem, quotient = dict(self.terms), {}
+        # an exact quotient's exponents run from top(self) - top down to low
+        low = self.terms[0][0] - other.terms[0][0]
+        for shift in range(self.terms[-1][0] - top, low - 1, -1):
+            q, r = divmod(rem.pop(shift + top, 0), lead)
+            if r:
+                raise ValueError(f"{other} does not divide {self}")
+            if q:
+                quotient[shift] = q
+                for e, c in rest:
+                    rem[e + shift] = rem.get(e + shift, 0) - q * c
+        if any(rem.values()):
+            raise ValueError(f"{other} does not divide {self}")
+        return LaurentPoly.from_dict(quotient)
+
     @property
     def evaluated_at_one(self) -> int:
         return sum(c for _, c in self.terms)
@@ -578,6 +603,7 @@ __all__ = [
     "LaurentPoly",
     "LoopClass",
     "SlopeShape",
+    "bareiss_det",
     "invariant_factors_of",
     "klein_case_group",
     "meridional_pair_predict",

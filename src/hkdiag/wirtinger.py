@@ -8,23 +8,25 @@ ends. The Smith normal form of that small relation matrix gives the group
 and exact integer coordinates for every meridian.
 
 Splitting the circle of a knot code at its under-passes gives the arcs of
-the Fox-calculus matrix behind the one-variable Alexander polynomial, which
-in turn supplies computable nontriviality certificates for constituent
-knots of a graph code.
+the Fox-calculus matrix of the one-variable Alexander polynomial, whose
+determinant Bareiss elimination over Z[t, t^-1] takes in O(m^3) ring
+operations for m under-passes, every division exact. Those polynomials
+certify that constituent knots of a graph code are knotted.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .diagram import StructureError
 from .homology import AbelianGroup, IntMatrix, LaurentPoly, LoopClass, smith_normal_form
+from .homology import bareiss_det
 from .spatial import (
-    Crossing,
-    EdgeCode,
     FactSet,
     SpatialGraphCode,
     _require_valid,
+    _restrict,
     constituent_links,
     linking_number,
 )
@@ -185,42 +187,18 @@ def loop_classes(g: SpatialGraphCode, markeds) -> list[LoopClass]:
 # --- Alexander polynomial -------------------------------------------------------
 
 
-def _poly_det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(mat)
-    if n == 0:
-        return LaurentPoly.constant(1)
-    memo: dict[tuple[int, ...], LaurentPoly] = {}
-
-    def expand(r: int, cols: tuple[int, ...]) -> LaurentPoly:
-        if r == n:
-            return LaurentPoly.constant(1)
-        if cols in memo:
-            return memo[cols]
-        total = LaurentPoly.constant(0)
-        for k, c in enumerate(cols):
-            entry = mat[r][c]
-            if not entry.terms:
-                continue
-            sub = expand(r + 1, cols[:k] + cols[k + 1:])
-            term = entry * sub
-            total = total + term if k % 2 == 0 else total - term
-        memo[cols] = total
-        return total
-
-    return expand(0, tuple(range(n)))
-
-
 def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     """The one-variable Alexander polynomial of a knot code, normalized.
 
     The code must be a single-circle link. Rows follow the free derivative
     of the crossing relations: at a positive crossing the incoming under
     arc contributes t, the over arc 1 - t, and the outgoing arc -1; at a
-    negative crossing t is inverted. One row and one column are dropped
-    before taking the determinant, and the result is shifted to lowest
-    degree zero with positive leading coefficient. For codes of genuine
-    knot diagrams the value at 1 is a unit; garbage codes make no such
-    promise.
+    negative crossing t is inverted. One row and one column are dropped,
+    and Bareiss elimination over Z[t, t^-1] (`bareiss_det`) takes the
+    determinant in O(m^3) ring operations for m under-passes, every
+    division exact. The result is shifted to lowest degree zero with
+    positive leading coefficient. For codes of genuine knot diagrams the
+    value at 1 is a unit; garbage codes make no such promise.
     """
     if g.kind != "link" or len(g.edges) != 1:
         raise StructureError("the Alexander polynomial applies to knot codes")
@@ -237,71 +215,62 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     if m <= 1:
         return LaurentPoly.constant(1)
 
-    t = LaurentPoly.t()
-    t_inv = LaurentPoly.from_dict({-1: 1})
     one = LaurentPoly.constant(1)
-    zero = LaurentPoly.constant(0)
-
-    rows: list[list[LaurentPoly]] = []
-    for j, position in enumerate(unders):
+    rows = []
+    for j, position in enumerate(unders[: m - 1]):
         crossing = e.passes[position].crossing
-        sign = g.sign(crossing)
-        over_pos = next(
-            pos for _, pos, where in g.crossing_passes()[crossing] if where == "over"
-        )
-        c = arc_at[over_pos] % m
-        a = j
-        b = (j + 1) % m
-        row = [zero] * m
-        if sign == 1:
-            row[a] = row[a] + t
-            row[c] = row[c] + (one - t)
-        else:
-            row[a] = row[a] + t_inv
-            row[c] = row[c] + (one - t_inv)
-        row[b] = row[b] - one
-        rows.append(row)
-
-    minor = [row[: m - 1] for row in rows[: m - 1]]
-    return _poly_det(minor).normalized()
+        t = LaurentPoly.t(1 if g.sign(crossing) == 1 else -1)
+        over_pos = next(p for _, p, where in g.crossing_passes()[crossing] if where == "over")
+        row = [LaurentPoly()] * m
+        for col, entry in ((j, t), (arc_at[over_pos] % m, one - t), ((j + 1) % m, -one)):
+            row[col] = row[col] + entry
+        rows.append(row[: m - 1])
+    return bareiss_det(rows, one).normalized()
 
 
-def _component_knot(link: SpatialGraphCode, name: str) -> SpatialGraphCode:
-    """One circle of a link code, with all mixed crossings forgotten."""
-    circle = link.edge(name)
-    uses = link.crossing_passes()
-    keep = {
-        cid for cid, entries in uses.items()
-        if all(eid == name for eid, _, _ in entries)
-    }
-    passes = tuple(p for p in circle.passes if p.crossing in keep)
-    crossings = tuple(Crossing(cid, link.sign(cid)) for cid in sorted(keep))
-    return SpatialGraphCode("link", (), (EdgeCode(name, None, None, passes),), crossings)
+def constituent_invariants(g: SpatialGraphCode) -> tuple[dict, dict]:
+    """(knots, links): each constituent knot's Alexander polynomial and
+    each pair of link components' linking number, computed once.
+
+    The knots are the three "a+b" knots of a theta-curve, the two vertex
+    loops of a handcuff, or the circle of a knot code; the pairs are those
+    of a constituent link, in code order.
+    """
+    knots, links = {}, {}
+    for piece in constituent_links(g):
+        names = [e.id for e in piece.edges]
+        if len(names) == 1:
+            knots[names[0]] = alexander_polynomial(piece)
+            continue
+        for a, b in itertools.combinations(names, 2):
+            links[a, b] = linking_number(piece, a, b)
+        if g.kind == "handcuff":
+            signs = {c.id: c.sign for c in piece.crossings}
+            for e in piece.edges:
+                loop = _restrict(piece, [(e.id, e.passes)], {e.id}, signs)
+                knots[e.id] = alexander_polynomial(loop)
+    return knots, links
 
 
-def attach_evidence(g: SpatialGraphCode, facts: FactSet) -> FactSet:
-    """Add computable certificates about a code to a fact set.
+def attach_evidence(g: SpatialGraphCode, facts: FactSet, invariants=None) -> FactSet:
+    """Add computable certificates about a theta or handcuff code to a fact set.
 
     A nontrivial Alexander polynomial certifies that a constituent knot is
     knotted; a nonzero linking number certifies that a handcuff's
     constituent link does not split. Negative results prove nothing and
     leave the facts untouched. Entries land with provenance "computed", so
-    a clash with an asserted fact raises ContradictionError.
+    a clash with an asserted fact raises ContradictionError. The values
+    come from `invariants`, constituent_invariants(g) if not given.
     """
+    if g.kind not in ("theta", "handcuff"):
+        return facts
+    knots, links = constituent_invariants(g) if invariants is None else invariants
+    if any(links.values()):
+        facts.set("split", False, "computed")
     one = LaurentPoly.constant(1)
-    if g.kind == "theta":
-        for knot in constituent_links(g):
-            name = knot.edges[0].id
-            if alexander_polynomial(knot) != one:
-                facts.set(f"knot-trivial:{name}", False, "computed")
-    elif g.kind == "handcuff":
-        (link,) = constituent_links(g)
-        a, b = (e.id for e in link.edges)
-        if linking_number(link, a, b) != 0:
-            facts.set("split", False, "computed")
-        for name in (a, b):
-            if alexander_polynomial(_component_knot(link, name)) != one:
-                facts.set(f"knot-trivial:{name}", False, "computed")
+    for name, delta in knots.items():
+        if delta != one:
+            facts.set(f"knot-trivial:{name}", False, "computed")
     return facts
 
 
@@ -312,6 +281,7 @@ __all__ = [
     "UnderPassWord",
     "alexander_polynomial",
     "attach_evidence",
+    "constituent_invariants",
     "h1_complement",
     "loop_class",
     "loop_classes",

@@ -3,11 +3,11 @@ import json
 import os
 import tempfile
 import unittest
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
-from hkdiag import spatial, wirtinger
+from hkdiag import cli, spatial, wirtinger
 from hkdiag.cli import main
 from hkdiag.spatial import closed_braid, format_code
 
@@ -430,24 +430,39 @@ class AnalyzeTests(unittest.TestCase):
         self.assertIn("constituents:\nhomology of the complement: 1\n", out)
 
     def test_analyze_validates_each_code_and_reduces_once(self):
-        """One validate_code per code object and one Smith normal form per
-        analyze. The Alexander polynomial calls are not pinned here."""
+        """One validate_code per code object, one Smith normal form, and each
+        constituent invariant computed once per analyze. The invariant calls
+        are counted where analyze and wirtinger make them; classify_atoroidal
+        certifies a handcuff's splitness on its own and is not counted."""
         theta = self.build("theta.txt", "torus-link", "--n", "5", "--tunnel")
         handcuff = self.build("h.txt", "torus-link", "--n", "10", "--tunnel")
-        for path in (theta, handcuff):
-            with mock.patch.object(spatial, "validate_code", wraps=spatial.validate_code) as vc, \
-                    mock.patch.object(wirtinger, "smith_normal_form",
-                                      wraps=wirtinger.smith_normal_form) as snf:
+        expected = {
+            theta: {"validate": 1, "alexander_polynomial": 3, "linking_number": 0,
+                    "constituent_links": 1},
+            # the handcuff, its constituent link, and the link classify builds
+            handcuff: {"validate": 3, "alexander_polynomial": 2, "linking_number": 1,
+                       "constituent_links": 1},
+        }
+        for path, counts in expected.items():
+            with ExitStack() as stack:
+                vc = stack.enter_context(mock.patch.object(
+                    spatial, "validate_code", wraps=spatial.validate_code))
+                snf = stack.enter_context(mock.patch.object(
+                    wirtinger, "smith_normal_form", wraps=wirtinger.smith_normal_form))
+                calls = {}
+                for name in ("alexander_polynomial", "linking_number", "constituent_links"):
+                    calls[name] = mock.Mock(wraps=getattr(wirtinger, name))
+                    for module in (cli, wirtinger):
+                        if hasattr(module, name):
+                            stack.enter_context(mock.patch.object(module, name, calls[name]))
                 code, _, _ = self.analyze_json(path, "atoroidal=true", "planar=false", "tunnel=t")
             self.assertEqual(code, 0)
             self.assertEqual(snf.call_count, 1, path)
             validated = [c.args[0] for c in vc.call_args_list]
             self.assertEqual(len({id(g) for g in validated}), len(validated), path)
-            if path == theta:
-                self.assertEqual(len(validated), 1)
-            else:
-                # the handcuff and the link of each constituent_links call
-                self.assertLessEqual(len(validated), 4)
+            self.assertEqual(len(validated), counts["validate"], path)
+            for name, call in calls.items():
+                self.assertEqual(call.call_count, counts[name], (path, name))
 
 
 class DataOverrideTests(unittest.TestCase):

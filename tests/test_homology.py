@@ -10,7 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from hkdiag.homology import (
@@ -19,6 +22,7 @@ from hkdiag.homology import (
     IntMatrix,
     LaurentPoly,
     LoopClass,
+    bareiss_det,
     invariant_factors_of,
     klein_case_group,
     meridional_pair_predict,
@@ -238,3 +242,79 @@ def test_laurent_ring_axioms_spot_check():
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
         assert a.evaluated_at_one * b.evaluated_at_one == (a * b).evaluated_at_one
+
+
+# --- exact division and the shared Bareiss elimination ---------------------------
+
+
+def laurent_polys(low=-3, high=3, nonzero=False):
+    terms = st.dictionaries(st.integers(low, high), st.integers(-5, 5), max_size=4)
+    polys = terms.map(LaurentPoly.from_dict)
+    return polys.filter(bool) if nonzero else polys
+
+
+def test_laurent_truthiness():
+    assert not LaurentPoly()
+    assert not LaurentPoly.constant(0)
+    assert LaurentPoly.t(-2)
+    assert LaurentPoly.constant(-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys(), laurent_polys(nonzero=True))
+def test_laurent_exact_division_undoes_multiplication(p, q):
+    assert (p * q) // q == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys(), laurent_polys(nonzero=True).filter(lambda q: len(q.terms) > 1),
+       st.integers(-4, 4), st.sampled_from((-3, -1, 1, 2)))
+def test_laurent_inexact_division_raises(p, q, e, c):
+    """A polynomial of two or more terms divides no nonzero monomial, so it
+    cannot divide p*q plus one."""
+    with pytest.raises(ValueError):
+        (p * q + LaurentPoly.t(e, c)) // q
+
+
+def test_laurent_division_hand_cases():
+    t = LaurentPoly.t()
+    one = LaurentPoly.constant(1)
+    assert (t * t - one) // (t - one) == t + one
+    assert LaurentPoly.from_dict({-1: 4, 2: 6}) // LaurentPoly.t(-3, 2) == LaurentPoly.from_dict(
+        {2: 2, 5: 3})
+    assert LaurentPoly() // t == LaurentPoly()
+    with pytest.raises(ValueError):
+        LaurentPoly.constant(3) // LaurentPoly.constant(2)
+    with pytest.raises(ValueError):
+        (t * t + one) // (t + one)
+    with pytest.raises(ZeroDivisionError):
+        t // LaurentPoly()
+
+
+def _sympy_poly(p: LaurentPoly, t):
+    return sum((c * t**e for e, c in p.terms), sympy.Integer(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(laurent_polys(-2, 2), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_bareiss_det_over_laurent_polys_matches_sympy(rows):
+    """Multiplying every entry by t^2 clears the negative exponents and
+    scales the determinant by t^(2n), so sympy can take it over Z[t]."""
+    t = sympy.Symbol("t")
+    ring = ZZ[t]
+    n = len(rows)
+    det = bareiss_det(rows, LaurentPoly.constant(1)) * LaurentPoly.t(2 * n)
+    cleared = DomainMatrix(
+        [[ring.from_sympy(sympy.expand(_sympy_poly(x, t) * t**2)) for x in row] for row in rows],
+        (n, n), ring)
+    assert sympy.expand(_sympy_poly(det, t) - ring.to_sympy(cleared.det())) == 0
+
+
+def test_bareiss_det_on_sparse_integer_matrices_matches_sympy():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        rows = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+        assert bareiss_det(rows) == (int(Matrix(rows).det()) if n else 1)

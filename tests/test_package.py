@@ -12,8 +12,9 @@ EXPORTED = {
     "SpatialGraphCode", "StructureError", "SymmetryBounds", "Transition",
     "Unclassified", "UnderPassWord", "VertexCode", "Violation", "alexander_polynomial",
     "annulus_from_json_dict", "annulus_to_json_dict", "are_isomorphic",
-    "attach_evidence", "canonical_form", "classify_atoroidal", "classify_type",
-    "closed_braid", "constituent_links", "derived_facts", "diagram_from_json_dict",
+    "attach_evidence", "bareiss_det", "canonical_form", "classify_atoroidal",
+    "classify_type", "closed_braid", "constituent_invariants", "constituent_links",
+    "derived_facts", "diagram_from_json_dict",
     "diagram_to_json_dict", "enumerate_valid", "family_odd_ringed", "family_torus_link",
     "format_annulus", "format_code", "format_diagram", "h1_complement",
     "invariant_factors_of", "is_fourone", "klein_case_group", "label_catalog",

@@ -4,7 +4,7 @@ import itertools
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import Matrix
 
 from h1_oracle import arc_h1
@@ -45,6 +45,7 @@ from hkdiag.wirtinger import (
     UnderPassWord,
     alexander_polynomial,
     attach_evidence,
+    constituent_invariants,
     h1_complement,
     loop_class,
 )
@@ -259,12 +260,8 @@ def test_loop_ring_encircles_merged_strand():
 
 def test_loop_preserves_knot_type():
     """The merged strand still carries the trefoil after the splice."""
-    looped = tunnel_loop(3)
-    (link,) = constituent_links(looped)
-    from hkdiag.wirtinger import _component_knot
-
-    knot = _component_knot(link, "ka+kb")
-    assert alexander_polynomial(knot) == TREFOIL_DELTA
+    knots, _ = constituent_invariants(tunnel_loop(3))
+    assert knots["ka+kb"] == TREFOIL_DELTA
 
 
 def test_loop_mirror_flips_ring():
@@ -474,6 +471,28 @@ def test_h1_agrees_with_the_arc_presentation(g):
     assert u.det() in (1, -1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.builds(lambda k, mirror: family_torus_link(2 * k, tunnel=True, mirror=mirror),
+              st.integers(min_value=1, max_value=20), st.booleans()),
+    spine_loopings()))
+def test_loop_push_off_reads_the_linking_number(g):
+    """On a handcuff, the push-off of loop a has coefficient lk(a, b) on the
+    meridian of loop b: wirtinger's EdgeWalk class against spatial's count."""
+    assume(g.kind == "handcuff")
+    (link,) = constituent_links(g)
+    _, mm = h1_complement(g)
+    loops = [e.id for e in g.edges if e.is_vertex_loop]
+    for a, b in (loops, loops[::-1]):
+        ma, mb = mm.edge_class(a).coords, mm.edge_class(b).coords
+        walk = loop_class(g, EdgeWalk(((a, 1),)), mm).coords
+        # the two loop meridians are a basis, so Cramer's rule reads off the
+        # coefficient on mb
+        basis = ma[0] * mb[1] - ma[1] * mb[0]
+        assert basis in (1, -1)
+        assert (ma[0] * walk[1] - ma[1] * walk[0]) * basis == linking_number(link, a, b)
+
+
 # --- Alexander polynomials ------------------------------------------------------------
 
 
@@ -496,6 +515,14 @@ def test_alexander_torus_knot_five():
     assert alexander_polynomial(g) == LaurentPoly.from_dict(
         {0: 1, 1: -1, 2: 1, 3: -1, 4: 1}
     )
+
+
+@pytest.mark.parametrize("n", [31, 41])
+def test_alexander_torus_knot_closed_form(n):
+    """Delta(T(2,n)) = 1 - t + ... + t^(n-1), from a minor of order n - 1:
+    out of reach of a determinant that grows exponentially with it."""
+    g = closed_braid(braid(*[1] * n), 2)
+    assert alexander_polynomial(g) == LaurentPoly.from_dict({k: (-1) ** k for k in range(n)})
 
 
 def test_alexander_mirror_invariant():
