@@ -3,8 +3,8 @@
 Subcommands mirror the library layers: enumerate and classify work on
 characteristic diagrams, symmetry reads the bound table, loop and family
 build spatial graph codes, linking and analyze interrogate them. Exit codes
-are 0 for success, 1 for rule violations or contradicted assertions, and 2
-for malformed input.
+are 0 for success, 1 for rule violations or contradicted assertions, 2 for
+malformed input, and 3 for an internal error, which prints its traceback.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .wirtinger import attach_evidence, constituent_invariants, h1_complement
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_STRUCTURE = 2
+EXIT_INTERNAL = 3
 
 _BOOL_FACTS = ("atoroidal", "planar", "split")
 _EDGE_FACTS = ("tunnel", "knotting-arc")
@@ -219,7 +220,10 @@ def _symmetry_worker(path: str) -> _FileReport:
 def _write_code(g, out: str | None, fmt: str) -> None:
     text = format_code(g)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as err:
+            raise StructureError(f"cannot write {out}: {err.strerror}") from None
         print(f"wrote {out}")
     elif fmt == "json":
         print(json.dumps({"code": text}))
@@ -565,7 +569,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StructureError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_STRUCTURE
+    except Exception:  # a crash must not read as a violation or bad input
+        import traceback  # only a crash pays for importing it
+
+        print("internal error", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

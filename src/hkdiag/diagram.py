@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 
@@ -112,7 +114,7 @@ class CharDiagram:
                 return n
         raise KeyError(node_id)
 
-    @property
+    @cached_property
     def labeled_nodes(self) -> tuple[Node, ...]:
         return tuple(n for n in self.nodes if n.is_labeled)
 
@@ -123,54 +125,92 @@ class CharDiagram:
             raise ValueError("diagram does not have a unique labeled node")
         return labeled[0]
 
+    @cached_property
+    def _degrees(self) -> dict[str, int]:
+        degrees = dict.fromkeys((n.id for n in self.nodes), 0)
+        for a, b in self.edges:
+            degrees[a] += 1
+            degrees[b] += 1
+        return degrees
+
     def degree(self, node_id: str) -> int:
         """Number of edge ends at the node; a loop contributes two."""
-        return sum((a == node_id) + (b == node_id) for a, b in self.edges)
+        return self._degrees.get(node_id, 0)
 
     def is_loop(self, index: int) -> bool:
         a, b = self.edges[index]
         return a == b
 
-    @property
+    @cached_property
     def loop_count(self) -> int:
-        return sum(1 for i in range(len(self.edges)) if self.is_loop(i))
+        return sum(1 for a, b in self.edges if a == b)
 
-    def multiplicity(self, a: str, b: str) -> int:
-        pair = tuple(sorted((a, b)))
-        return sum(1 for e in self.edges if e == pair)
-
-    @property
+    @cached_property
     def bigon_count(self) -> int:
-        count = 0
-        seen = set()
-        for a, b in self.edges:
-            if a == b or (a, b) in seen:
+        families = Counter(e for e in self.edges if e[0] != e[1])
+        return sum(m * (m - 1) // 2 for m in families.values())
+
+    @cached_property
+    def _search(self) -> tuple[int, frozenset[int]]:
+        """(connected components, indices of bridge edges), from one search.
+
+        An iterative depth-first search finds the bridges by Tarjan's low
+        points: the tree edge from v to w is a bridge when no other edge
+        leaving w's subtree reaches v or above it. Parallel copies are
+        told apart by edge index, so they are never bridges; loops are
+        skipped.
+        """
+        adjacency: dict[str, list[tuple[int, str]]] = {n.id: [] for n in self.nodes}
+        for i, (a, b) in enumerate(self.edges):
+            if a != b:
+                adjacency[a].append((i, b))
+                adjacency[b].append((i, a))
+        order: dict[str, int] = {}
+        low: dict[str, int] = {}
+        bridges = set()
+        components = 0
+        for root in adjacency:
+            if root in order:
                 continue
-            seen.add((a, b))
-            m = self.multiplicity(a, b)
-            count += m * (m - 1) // 2
-        return count
+            components += 1
+            order[root] = low[root] = len(order)
+            stack = [(root, None, iter(adjacency[root]))]
+            while stack:
+                here, via, rest = stack[-1]
+                for i, there in rest:
+                    if i == via:
+                        continue
+                    if there in order:
+                        low[here] = min(low[here], order[there])
+                    else:
+                        order[there] = low[there] = len(order)
+                        stack.append((there, i, iter(adjacency[there])))
+                        break
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        low[parent] = min(low[parent], low[here])
+                        if low[here] > order[parent]:
+                            bridges.add(via)
+        return components, frozenset(bridges)
 
     def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        reached = {self.nodes[0].id}
-        frontier = [self.nodes[0].id]
-        while frontier:
-            here = frontier.pop()
-            for a, b in self.edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == here and y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-        return len(reached) == len(self.nodes)
+        return self._search[0] <= 1
 
     def is_cut_edge(self, index: int) -> bool:
-        """Whether removing one copy of the edge disconnects the diagram."""
-        if self.is_loop(index):
-            return False
-        remaining = tuple(e for i, e in enumerate(self.edges) if i != index)
-        return not CharDiagram(self.nodes, remaining).is_connected()
+        """Whether removing one copy of the edge disconnects the diagram.
+
+        In a diagram that is already disconnected every non-loop edge does.
+        """
+        return not self.is_loop(index) and (
+            not self.is_connected() or index in self._search[1]
+        )
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """validate of this diagram, with the single-bigon rule on, computed once."""
+        return tuple(validate(self))
 
 
 def validate(d: CharDiagram, single_bigon_rule: bool = True) -> list[Violation]:
@@ -299,8 +339,15 @@ def enumerate_valid(single_bigon_rule: bool = True) -> tuple[CharDiagram, ...]:
     solid nodes, up to three edges over every node pair including loops and
     pairs avoiding the labeled node. `validate` does the narrowing, so the
     thirteen classes really are cut out by the constraints rather than by
-    the generator. Representatives come back sorted by type.
+    the generator. Representatives come back sorted by type. The answer is
+    computed once per process for each value of the flag, and every call
+    returns that same immutable tuple.
     """
+    return _enumerate_valid(bool(single_bigon_rule))
+
+
+@cache
+def _enumerate_valid(single_bigon_rule: bool) -> tuple[CharDiagram, ...]:
     found: dict[str, CharDiagram] = {}
     for kind in (NodeKind.HOLLOW, NodeKind.SOLID):
         for extra in range(0, 4):

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .diagram import (
     CharDiagram,
@@ -34,9 +35,9 @@ from .diagram import (
     classify_type,
     diagram_to_json_dict,
     diagram_from_json_dict,
+    enumerate_valid,
     realization_status,
     solid_base_annotation,
-    validate,
     _parse_lines,
 )
 from .homology import SlopeShape, slope_pair_classify
@@ -194,7 +195,7 @@ def validate_labels(ad: AnnulusDiagram) -> list[Violation]:
     R7  two h2 labels never coexist with a k-labeled edge
     R8  h2 on a non-loop edge occurs only in a theta-shape diagram
     """
-    out = list(validate(ad.base))
+    out = list(ad.base.violations)
     if out:
         return out
     if not any(lab is not None for lab in ad.labels):
@@ -448,16 +449,18 @@ def _alphabet_for(d: CharDiagram, index: int) -> list[EdgeLabel]:
     ]
 
 
+@cache
 def label_catalog() -> tuple[CatalogEntry, ...]:
     """Every rule-consistent labeling of the thirteen classes, up to isomorphism.
 
     Parameterized labels appear with one representative slope each, so the
     catalog is finite; entries are distinguished by base class and label
     multiset. Exactly six entries carry an h label: the single h1 diagram
-    and the five h2 diagrams.
+    and the five h2 diagrams. The catalog is computed once per process, and
+    every call returns that same immutable tuple.
     """
     entries: list[CatalogEntry] = []
-    for d in _base_diagrams():
+    for d in enumerate_valid():
         alphabets = [_alphabet_for(d, i) for i in range(len(d.edges))]
         kept: dict[str, AnnulusDiagram] = {}
         for assignment in itertools.product(*alphabets):
@@ -476,12 +479,6 @@ def label_catalog() -> tuple[CatalogEntry, ...]:
                 constrained=any(k in H_KINDS for k in kinds),
             ))
     return tuple(entries)
-
-
-def _base_diagrams() -> tuple[CharDiagram, ...]:
-    from .diagram import enumerate_valid
-
-    return enumerate_valid()
 
 
 # --- text and JSON for labeled diagrams ---------------------------------------

@@ -641,7 +641,8 @@ def classify_atoroidal(g: SpatialGraphCode, facts: FactSet) -> GraphClass | Uncl
 
     Whatever the code itself can certify is computed here and written into
     the fact set with provenance "computed": a nonzero linking number of a
-    handcuff's constituent link certifies that the link is not split.
+    handcuff's constituent link certifies that the link is not split, and is
+    not computed again when a computed "split" entry is already there.
     Everything else (planarity, atoroidality, constituent knot types, arc
     designations) must be supplied as facts. Returns Unclassified naming
     the missing facts when the decision is out of reach.
@@ -650,7 +651,8 @@ def classify_atoroidal(g: SpatialGraphCode, facts: FactSet) -> GraphClass | Uncl
     if g.kind == "link":
         raise StructureError("classification applies to theta and handcuff codes")
 
-    if g.kind == "handcuff":
+    certified = facts.entry("split")
+    if g.kind == "handcuff" and (certified is None or certified.provenance != "computed"):
         (link,) = constituent_links(g)
         a, b = (e.id for e in link.edges)
         if linking_number(link, a, b) != 0:

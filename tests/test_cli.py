@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,8 @@ from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
-from hkdiag import cli, spatial, wirtinger
+import hkdiag
+from hkdiag import cli, diagram, homology, labeling, spatial, wirtinger
 from hkdiag.cli import main
 from hkdiag.spatial import closed_braid, format_code
 
@@ -17,6 +19,7 @@ THETA_DIAGRAM = (
     "edge v s label=h2\nedge v s label=h2\nedge v s label=l0\n"
 )
 BAD_LABELS = "node v hollow genus=2\nedge v v label=em\n"
+NAMESPACES = (hkdiag, cli, diagram, homology, labeling, spatial, wirtinger)
 
 
 def run(argv):
@@ -61,6 +64,80 @@ class EnumerateTests(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("66 labeled diagrams", out)
         self.assertIn("*", out)
+
+
+class OncePerProcessTests(unittest.TestCase):
+    """The diagram classes and the label catalog are computed once per
+    process and shared; the output stays that of the uncached code."""
+
+    # sha256 of stdout, recorded before the two results were cached; the
+    # per-file commands run on the 66 catalog entries, one file each, with
+    # the temporary directory written as <tmp>
+    OUTPUT_SHA256 = {
+        "enumerate text": "24e0445fa1f63c1a1d675b689f908bcc6215a73701c5d5c9d807ffd119e2ee6f",
+        "enumerate --labels text": "12966f1c69913876e12110f1c592db7501a50ccee94bcd71a2947e3a56f24d0b",
+        "enumerate --drop-bigon-rule text": "08223016647499a225ecf5621929fcfe9b45e83dd53e8fa4646e7ff6a044a50c",
+        "validate text": "b77e8741bbb98fa8e100113054e0ae4deb4d93b5c067f52802b6f904485cbb4c",
+        "classify text": "2d7bdb91bfb10785a6dc741044f5e1f8a77ea0ceaee5c096d136140c73592ca0",
+        "symmetry text": "c2b66f713bd3b270d31e49fa82b2d7282f56ed477ca957371c9810515d59b944",
+        "enumerate json": "cb90ff6684b594bff51a10b445f6f40a1ac024ec09b9555eb474e1e7373de4b6",
+        "enumerate --labels json": "e7508d13777331c35110fb82a4f24f4573328533203c4510fff08f87596529ae",
+        "enumerate --drop-bigon-rule json": "6b4fbb46e072ba7b4760518795bb14d6bf1977ec3239b9b5949a1e562b6472ba",
+        "validate json": "38d6bc1e44d0b1f0499fa33f877998e7038980eb986406ac644f22ca1587a85e",
+        "classify json": "65f2c26fe729a9dba59af2dbfb05ae166fac6bccc7a32df103cbaaaff1004841",
+        "symmetry json": "d18d35735cf919eef21db7862497d804e54a18100656b8e8b5befee58e4b4cf6",
+    }
+
+    def setUp(self):
+        diagram._enumerate_valid.cache_clear()
+        labeling.label_catalog.cache_clear()
+
+    def test_enumerate_validates_only_on_first_computation(self):
+        counter = mock.Mock(wraps=diagram.validate)
+        with ExitStack() as stack:
+            for module in NAMESPACES:
+                if getattr(module, "validate", None) is diagram.validate:
+                    stack.enter_context(mock.patch.object(module, "validate", counter))
+            self.assertEqual(run(["enumerate", "--labels"])[0], 0)
+            first = counter.call_count
+            self.assertGreater(first, 0)
+            self.assertEqual(run(["enumerate", "--labels", "--format", "json"])[0], 0)
+            self.assertEqual(run(["enumerate"])[0], 0)
+        self.assertEqual(counter.call_count, first)
+
+    def test_results_are_shared(self):
+        self.assertIs(labeling.label_catalog(), labeling.label_catalog())
+        classes = diagram.enumerate_valid()
+        self.assertIs(classes, diagram.enumerate_valid(True))
+        self.assertIs(classes, diagram.enumerate_valid(single_bigon_rule=True))
+        self.assertIsNot(classes, diagram.enumerate_valid(single_bigon_rule=False))
+
+    def test_cache_is_keyed_by_the_bigon_rule(self):
+        run(["enumerate"])
+        code, out, _ = run(["enumerate", "--drop-bigon-rule", "--format", "json"])
+        self.assertEqual(code, 0)
+        self.assertEqual(json.loads(out)["count"], 14)
+        self.assertEqual(json.loads(run(["enumerate", "--format", "json"])[1])["count"], 13)
+
+    def test_output_is_unchanged(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, entry in enumerate(labeling.label_catalog()):
+                path = Path(tmp) / f"e{i:02d}.txt"
+                path.write_text(labeling.format_annulus(entry.diagram))
+                paths.append(str(path))
+            for fmt in ("text", "json"):
+                runs = {
+                    f"enumerate {fmt}": ["enumerate"],
+                    f"enumerate --labels {fmt}": ["enumerate", "--labels"],
+                    f"enumerate --drop-bigon-rule {fmt}": ["enumerate", "--drop-bigon-rule"],
+                    **{f"{cmd} {fmt}": [cmd, *paths] for cmd in ("validate", "classify", "symmetry")},
+                }
+                for name, argv in runs.items():
+                    code, out, _ = run([*argv, "--format", fmt])
+                    self.assertEqual(code, 0, name)
+                    digest = hashlib.sha256(out.replace(tmp, "<tmp>").encode()).hexdigest()
+                    self.assertEqual(digest, self.OUTPUT_SHA256[name], name)
 
 
 class AnnulusFileTests(unittest.TestCase):
@@ -145,6 +222,41 @@ class AnnulusFileTests(unittest.TestCase):
         code, out, _ = run(["symmetry", p, "--format", "json"])
         self.assertEqual(code, 0)
         self.assertIsNone(json.loads(out)["bounds"])
+
+
+class ExitCodeTests(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+        self.good = Path(self.tmp.name) / "good.txt"
+        self.good.write_text(H1_DIAGRAM)
+
+    def test_unexpected_exception_is_an_internal_error(self):
+        with mock.patch.object(cli, "_validate_worker", side_effect=RuntimeError("boom")):
+            code, out, err = run(["validate", str(self.good)])
+        self.assertEqual(code, 3)
+        self.assertEqual(out, "")
+        self.assertTrue(err.startswith("internal error\nTraceback"), err)
+        self.assertIn("RuntimeError: boom", err)
+
+    def test_structure_errors_still_exit_2(self):
+        garbage = Path(self.tmp.name) / "garbage.txt"
+        garbage.write_text("this is not a diagram\n")
+        code, out, err = run(["validate", str(garbage)])
+        self.assertEqual(code, 2)
+        self.assertIn("unknown directive", out)
+        self.assertEqual(err, "")
+        with self.assertRaises(SystemExit) as exit_, redirect_stderr(io.StringIO()):
+            main(["validate"])
+        self.assertEqual(exit_.exception.code, 2)
+
+    def test_unwritable_output_exits_2(self):
+        target = Path(self.tmp.name) / "missing" / "spine.txt"
+        code, out, err = run(["family", "spine-5-2", "-o", str(target)])
+        self.assertEqual(code, 2)
+        self.assertEqual(out, "")
+        self.assertIn("error: cannot write", err)
+        self.assertNotIn("Traceback", err)
 
 
 class BuilderTests(unittest.TestCase):
@@ -431,16 +543,16 @@ class AnalyzeTests(unittest.TestCase):
 
     def test_analyze_validates_each_code_and_reduces_once(self):
         """One validate_code per code object, one Smith normal form, and each
-        constituent invariant computed once per analyze. The invariant calls
-        are counted where analyze and wirtinger make them; classify_atoroidal
-        certifies a handcuff's splitness on its own and is not counted."""
+        constituent invariant computed once per analyze, counted through every
+        hkdiag module namespace: classify_atoroidal reads the computed split
+        entry instead of building the constituent link again."""
         theta = self.build("theta.txt", "torus-link", "--n", "5", "--tunnel")
         handcuff = self.build("h.txt", "torus-link", "--n", "10", "--tunnel")
         expected = {
             theta: {"validate": 1, "alexander_polynomial": 3, "linking_number": 0,
                     "constituent_links": 1},
-            # the handcuff, its constituent link, and the link classify builds
-            handcuff: {"validate": 3, "alexander_polynomial": 2, "linking_number": 1,
+            # the handcuff and its constituent link
+            handcuff: {"validate": 2, "alexander_polynomial": 2, "linking_number": 1,
                        "constituent_links": 1},
         }
         for path, counts in expected.items():
@@ -452,7 +564,7 @@ class AnalyzeTests(unittest.TestCase):
                 calls = {}
                 for name in ("alexander_polynomial", "linking_number", "constituent_links"):
                     calls[name] = mock.Mock(wraps=getattr(wirtinger, name))
-                    for module in (cli, wirtinger):
+                    for module in NAMESPACES:
                         if hasattr(module, name):
                             stack.enter_context(mock.patch.object(module, name, calls[name]))
                 code, _, _ = self.analyze_json(path, "atoroidal=true", "planar=false", "tunnel=t")

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import diagram_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 from iso_oracle import brute_force_isomorphic
@@ -253,3 +254,36 @@ def test_parse_skips_comments_and_blanks():
     text = "# a diagram\n\nnode v hollow genus=2\nedge v v # loop\n"
     d = parse_diagram(text)
     assert classify_type(d).as_tuple() == (1, 1, 0, "hollow")
+
+
+# --- the per-diagram index --------------------------------------------------------
+
+
+@st.composite
+def multigraphs(draw):
+    """Any decorated multigraph on at most four nodes and four edges,
+    loops, parallel edges, isolated nodes and several genus labels allowed."""
+    size = draw(st.integers(min_value=0, max_value=4))
+    nodes = [
+        Node(f"n{i}", draw(st.sampled_from([HOLLOW, SOLID])), draw(st.sampled_from([None, 2, 3])))
+        for i in range(size)
+    ]
+    ids = [n.id for n in nodes]
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4)
+                 if ids else st.just([]))
+    return CharDiagram.build(nodes, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_index_agrees_with_counting_and_search(d):
+    assert d.labeled_nodes == diagram_oracle.labeled_nodes(d)
+    assert d.loop_count == diagram_oracle.loop_count(d)
+    assert d.bigon_count == diagram_oracle.bigon_count(d)
+    for n in d.nodes:
+        assert d.degree(n.id) == diagram_oracle.degree(d, n.id)
+    assert d.is_connected() == diagram_oracle.is_connected([n.id for n in d.nodes], d.edges)
+    for i in range(len(d.edges)):
+        assert d.is_cut_edge(i) == diagram_oracle.is_cut_edge(d, i), i
+    assert d.violations == tuple(validate(d))
+    assert d.violations is d.violations

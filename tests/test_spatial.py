@@ -655,6 +655,15 @@ def test_classify_handcuff_split():
     assert classify_atoroidal(double, facts) == GraphClass("h2")
 
 
+def test_classify_handcuff_computes_split_when_alone():
+    """Without a computed split entry, classify computes lk = 2 itself and
+    so contradicts an asserted split link."""
+    g = family_torus_link(4, tunnel=True)
+    facts = theta_facts(atoroidal=True, planar=False, split=True)
+    with pytest.raises(ContradictionError):
+        classify_atoroidal(g, facts)
+
+
 def test_classify_planar_handcuff_contradiction():
     g = family_torus_link(4, tunnel=True)
     facts = theta_facts(atoroidal=True, planar=True)
