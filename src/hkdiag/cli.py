@@ -24,7 +24,6 @@ from .labeling import (
     label_catalog,
     parse_annulus,
     symmetry_bounds,
-    validate_labels,
 )
 from .spatial import (
     ContradictionError,
@@ -151,7 +150,7 @@ def _load_annulus(report: _FileReport):
     except StructureError as err:
         report.fail(EXIT_STRUCTURE, f"{report.path}: {err}")
         return None
-    problems = validate_labels(ad)
+    problems = ad.violations
     report.data["violations"] = [
         {"code": v.code, "message": v.message} for v in problems
     ]
@@ -263,22 +262,18 @@ def _data_text(name: str) -> str:
 
 
 def _cmd_family(args) -> int:
-    try:
-        if args.name == "torus-link":
-            if args.n is None:
-                raise StructureError("torus-link needs --n")
-            g = family_torus_link(args.n, tunnel=args.tunnel, mirror=args.mirror)
-        elif args.name == "odd-ringed":
-            if args.n is None:
-                raise StructureError("odd-ringed needs --n")
-            g = family_odd_ringed(args.n, ring=args.ring, mirror=args.mirror)
-        else:
-            g = parse_code(_data_text("spine_5_2.txt"))
-            if args.mirror:
-                g = mirror_code(g)
-    except StructureError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_STRUCTURE
+    if args.name == "torus-link":
+        if args.n is None:
+            raise StructureError("torus-link needs --n")
+        g = family_torus_link(args.n, tunnel=args.tunnel, mirror=args.mirror)
+    elif args.name == "odd-ringed":
+        if args.n is None:
+            raise StructureError("odd-ringed needs --n")
+        g = family_odd_ringed(args.n, ring=args.ring, mirror=args.mirror)
+    else:
+        g = parse_code(_data_text("spine_5_2.txt"))
+        if args.mirror:
+            g = mirror_code(g)
     _write_code(g, args.out, args.format)
     return EXIT_OK
 
@@ -344,11 +339,16 @@ def _diagram_summary(ad) -> str:
 def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
     report = _FileReport(path)
     try:
-        g = parse_code(_read(path))
+        _analyze(report, path, assertions)
     except StructureError as err:
         report.fail(EXIT_STRUCTURE, f"{path}: {err}")
-        return report
+    except ContradictionError as err:
+        report.fail(EXIT_VIOLATION, f"contradiction: {err}")
+    return report
 
+
+def _analyze(report: _FileReport, path: str, assertions: tuple[str, ...]) -> None:
+    g = parse_code(_read(path))
     report.data["kind"] = g.kind
     report.say(f"file: {path}")
     report.say(f"kind: {g.kind}, {len(g.edges)} edges, {len(g.crossings)} crossings")
@@ -362,34 +362,20 @@ def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
         report.code = EXIT_VIOLATION
         for v in g.violations:
             report.say(f"violation [{v.code}] {v.message}")
-        return report
+        return
 
     facts = FactSet()
-    try:
-        for token in assertions:
-            _parse_assertion(token, facts)
-    except StructureError as err:
-        report.fail(EXIT_STRUCTURE, f"{path}: {err}")
-        return report
-    except ContradictionError as err:
-        report.fail(EXIT_VIOLATION, f"contradiction: {err}")
-        return report
+    for token in assertions:
+        _parse_assertion(token, facts)
 
-    try:
-        # a failed certificate of a graph code is reported before the header,
-        # a failed linking number of a link code after it
-        if g.kind == "link":
-            report.say("constituents:")
-        invariants = constituent_invariants(g)
-        if g.kind != "link":
-            attach_evidence(g, facts, invariants)
-            report.say("constituents:")
-    except StructureError as err:
-        report.fail(EXIT_STRUCTURE, f"{path}: {err}")
-        return report
-    except ContradictionError as err:
-        report.fail(EXIT_VIOLATION, f"contradiction: {err}")
-        return report
+    # a failed certificate of a graph code is reported before the header,
+    # a failed linking number of a link code after it
+    if g.kind == "link":
+        report.say("constituents:")
+    invariants = constituent_invariants(g)
+    if g.kind != "link":
+        attach_evidence(g, facts, invariants)
+        report.say("constituents:")
     # a constituent link lists its linking numbers, not its components' knots
     knots, links = invariants
     constituents = []
@@ -417,13 +403,8 @@ def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
         for entry in facts.entries():
             report.say(f"  [{entry.provenance}] {entry.key} = {entry.value}")
 
-    classification = None
     if g.kind in ("theta", "handcuff"):
-        try:
-            classification = classify_atoroidal(g, facts)
-        except ContradictionError as err:
-            report.fail(EXIT_VIOLATION, f"contradiction: {err}")
-            return report
+        classification = classify_atoroidal(g, facts, invariants)
         if isinstance(classification, GraphClass):
             report.data["class"] = classification.code
             report.say(f"class: {classification.code} ({classification.description})")
@@ -475,7 +456,6 @@ def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
             report.say(f"  diagram: {_diagram_summary(prediction.diagram)}")
         for note in prediction.notes:
             report.say(f"  note: {note}")
-    return report
 
 
 # --- parser -----------------------------------------------------------------------

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .diagram import (
     CharDiagram,
@@ -178,6 +178,11 @@ class AnnulusDiagram:
     def labels_of_kind(self, kind: str) -> tuple[int, ...]:
         return tuple(i for i, lab in enumerate(self.labels) if lab is not None and lab.kind == kind)
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """validate_labels of this diagram, computed once."""
+        return tuple(_label_violations(self))
+
 
 def validate_labels(ad: AnnulusDiagram) -> list[Violation]:
     """Structural constraints plus the labeling rules R1..R8.
@@ -195,6 +200,10 @@ def validate_labels(ad: AnnulusDiagram) -> list[Violation]:
     R7  two h2 labels never coexist with a k-labeled edge
     R8  h2 on a non-loop edge occurs only in a theta-shape diagram
     """
+    return list(ad.violations)
+
+
+def _label_violations(ad: AnnulusDiagram) -> list[Violation]:
     out = list(ad.base.violations)
     if out:
         return out
@@ -275,27 +284,26 @@ class GroupBound(Enum):
 
     def allows(self, group: str) -> bool:
         """Whether a group named "1", "Z2" or "Z2xZ2" satisfies the bound."""
-        table = {
-            GroupBound.TRIVIAL: {"1"},
-            GroupBound.AT_MOST_Z2: {"1", "Z2"},
-            GroupBound.EXACTLY_Z2: {"Z2"},
-            GroupBound.AT_MOST_Z2XZ2: {"1", "Z2", "Z2xZ2"},
-            GroupBound.EXACTLY_Z2XZ2: {"Z2xZ2"},
-        }
-        return group in table[self]
+        return group in _ALLOWED[self]
 
     @property
     def is_exact(self) -> bool:
-        return self in (GroupBound.TRIVIAL, GroupBound.EXACTLY_Z2, GroupBound.EXACTLY_Z2XZ2)
+        return len(_ALLOWED[self]) == 1
 
 
-_GROUP_SIZE = {
-    GroupBound.TRIVIAL: 1,
-    GroupBound.AT_MOST_Z2: 2,
-    GroupBound.EXACTLY_Z2: 2,
-    GroupBound.AT_MOST_Z2XZ2: 4,
-    GroupBound.EXACTLY_Z2XZ2: 4,
+# The groups each bound allows, smallest first; the widest bound lists them all.
+_ALLOWED = {
+    GroupBound.TRIVIAL: ("1",),
+    GroupBound.AT_MOST_Z2: ("1", "Z2"),
+    GroupBound.EXACTLY_Z2: ("Z2",),
+    GroupBound.AT_MOST_Z2XZ2: ("1", "Z2", "Z2xZ2"),
+    GroupBound.EXACTLY_Z2XZ2: ("Z2xZ2",),
 }
+
+
+def _largest(bound: GroupBound) -> int:
+    """Size rank of the largest group a bound allows."""
+    return _ALLOWED[GroupBound.AT_MOST_Z2XZ2].index(_ALLOWED[bound][-1])
 
 
 @dataclass(frozen=True)
@@ -311,7 +319,7 @@ class SymmetryBounds:
     exact: bool
 
     def __post_init__(self):
-        if _GROUP_SIZE[self.sym] < _GROUP_SIZE[self.sym_plus]:
+        if _largest(self.sym) < _largest(self.sym_plus):
             raise ValueError("the full symmetry bound cannot sit below the chiral one")
 
 
@@ -322,9 +330,8 @@ def symmetry_bounds(ad: AnnulusDiagram) -> SymmetryBounds | None:
     type-2 annuli then says nothing, and no bound is derived. Raises
     ValueError on an invalid diagram.
     """
-    problems = validate_labels(ad)
-    if problems:
-        raise ValueError(f"invalid diagram: {problems[0]}")
+    if ad.violations:
+        raise ValueError(f"invalid diagram: {ad.violations[0]}")
     kinds = ad.label_kinds
     dtype = classify_type(ad.base)
     key = dtype.as_tuple()
@@ -349,7 +356,7 @@ def is_fourone(ad: AnnulusDiagram) -> bool:
     The theta-shape diagram with a solid labeled node occurs for 4_1 and for
     no other handlebody-knot, so this is an if-and-only-if test.
     """
-    if validate_labels(ad):
+    if ad.violations:
         return False
     return classify_type(ad.base).as_tuple() == (3, 0, 3, "solid")
 
@@ -366,9 +373,8 @@ class Fact:
 
 def derived_facts(ad: AnnulusDiagram) -> list[Fact]:
     """Everything the rule base can read off a valid (possibly unlabeled) diagram."""
-    problems = validate_labels(ad)
-    if problems:
-        raise ValueError(f"invalid diagram: {problems[0]}")
+    if ad.violations:
+        raise ValueError(f"invalid diagram: {ad.violations[0]}")
     d = ad.base
     dtype = classify_type(d)
     key = dtype.as_tuple()
@@ -465,7 +471,7 @@ def label_catalog() -> tuple[CatalogEntry, ...]:
         kept: dict[str, AnnulusDiagram] = {}
         for assignment in itertools.product(*alphabets):
             ad = AnnulusDiagram.build(d, assignment)
-            if not validate_labels(ad):
+            if not ad.violations:
                 kept.setdefault(_labeled_key(ad), ad)
         for ad in kept.values():
             dtype = classify_type(d)

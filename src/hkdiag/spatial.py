@@ -292,6 +292,17 @@ def _restrict(g: SpatialGraphCode, circles: list[tuple[str, tuple[Pass, ...]]],
     return SpatialGraphCode("link", (), edges, crossings)
 
 
+def _theta_constituents(g: SpatialGraphCode) -> list[tuple[str, EdgeCode, EdgeCode, EdgeCode]]:
+    """(name, e1, e2, rest) for each constituent knot of a theta code.
+
+    The knot is e1 followed by e2 and is named "e1+e2"; rest is the arc it
+    leaves out. Edges are taken in id order, so e1.id < e2.id.
+    """
+    e = sorted(g.edges, key=lambda edge: edge.id)
+    return [(f"{e[i].id}+{e[j].id}", e[i], e[j], e[3 - i - j])
+            for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
 def constituent_links(g: SpatialGraphCode) -> tuple[SpatialGraphCode, ...]:
     """The constituent knots (theta) or 2-component link (handcuff).
 
@@ -305,7 +316,7 @@ def constituent_links(g: SpatialGraphCode) -> tuple[SpatialGraphCode, ...]:
         return (g,)
     if g.kind == "theta":
         out = []
-        for e1, e2 in itertools.combinations(sorted(g.edges, key=lambda e: e.id), 2):
+        for name, e1, e2, _ in _theta_constituents(g):
             if e2.tail == e1.head:
                 passes = e1.passes + e2.passes
                 flipped: set[str] = set()
@@ -313,7 +324,7 @@ def constituent_links(g: SpatialGraphCode) -> tuple[SpatialGraphCode, ...]:
                 passes = e1.passes + _reversed_passes(e2)
                 flipped = {e2.id}
             signs = _effective_signs(g, flipped)
-            out.append(_restrict(g, [(f"{e1.id}+{e2.id}", passes)], {e1.id, e2.id}, signs))
+            out.append(_restrict(g, [(name, passes)], {e1.id, e2.id}, signs))
         return tuple(out)
     loops = sorted((e for e in g.edges if e.is_vertex_loop), key=lambda e: e.id)
     keep = {e.id for e in loops}
@@ -625,37 +636,31 @@ class Unclassified:
     needed: tuple[str, ...] = ()
 
 
-def _theta_components(g: SpatialGraphCode) -> list[str]:
-    ids = sorted(e.id for e in g.edges)
-    return [f"{a}+{b}" for a, b in itertools.combinations(ids, 2)]
-
-
-def _arc_complement(g: SpatialGraphCode, component: str) -> str:
-    used = set(component.split("+"))
-    (rest,) = (e.id for e in g.edges if e.id not in used)
-    return rest
-
-
-def classify_atoroidal(g: SpatialGraphCode, facts: FactSet) -> GraphClass | Unclassified:
+def classify_atoroidal(g: SpatialGraphCode, facts: FactSet,
+                       invariants=None) -> GraphClass | Unclassified:
     """Place an atoroidal theta-curve or handcuff graph in its class.
 
-    Whatever the code itself can certify is computed here and written into
-    the fact set with provenance "computed": a nonzero linking number of a
-    handcuff's constituent link certifies that the link is not split, and is
-    not computed again when a computed "split" entry is already there.
-    Everything else (planarity, atoroidality, constituent knot types, arc
-    designations) must be supplied as facts. Returns Unclassified naming
-    the missing facts when the decision is out of reach.
+    Whatever the code itself can certify is written into the fact set with
+    provenance "computed": a nonzero linking number of a handcuff's
+    constituent link certifies that the link is not split. The linking
+    number comes from `invariants`, the (knots, links) pair of
+    wirtinger.constituent_invariants(g), and is computed here if that is
+    not given. Everything else (planarity, atoroidality, constituent knot
+    types, arc designations) must be supplied as facts. Returns
+    Unclassified naming the missing facts when the decision is out of reach.
     """
     _require_valid(g)
     if g.kind == "link":
         raise StructureError("classification applies to theta and handcuff codes")
 
-    certified = facts.entry("split")
-    if g.kind == "handcuff" and (certified is None or certified.provenance != "computed"):
-        (link,) = constituent_links(g)
-        a, b = (e.id for e in link.edges)
-        if linking_number(link, a, b) != 0:
+    if g.kind == "handcuff":
+        if invariants is None:
+            (link,) = constituent_links(g)
+            a, b = (e.id for e in link.edges)
+            lks = [linking_number(link, a, b)]
+        else:
+            lks = invariants[1].values()
+        if any(lks):
             facts.set("split", False, "computed")
 
     if facts.get("atoroidal") is not True:
@@ -663,19 +668,19 @@ def classify_atoroidal(g: SpatialGraphCode, facts: FactSet) -> GraphClass | Uncl
     planar = facts.get("planar")
 
     if g.kind == "theta":
-        comps = _theta_components(g)
-        status = {c: facts.get(f"knot-trivial:{c}") for c in comps}
-        knotted = [c for c, s in status.items() if s is False]
+        comps = [(name, rest.id) for name, _, _, rest in _theta_constituents(g)]
+        status = [facts.get(f"knot-trivial:{name}") for name, _ in comps]
+        knotted = [c for c, s in zip(comps, status) if s is False]
         if planar is True:
             if knotted:
                 raise ContradictionError(
-                    f"a planar theta-curve has trivial constituents, yet {knotted[0]} is knotted")
+                    f"a planar theta-curve has trivial constituents, yet {knotted[0][0]} is knotted")
             return GraphClass("tau1")
         if planar is False:
-            if all(s is True for s in status.values()):
+            if all(s is True for s in status):
                 return GraphClass("tau2")
             if knotted:
-                arc = _arc_complement(g, knotted[0])
+                _, arc = knotted[0]
                 if facts.get("tunnel") == arc:
                     return GraphClass("tau3")
                 if facts.get("knotting-arc") == arc:
@@ -685,7 +690,7 @@ def classify_atoroidal(g: SpatialGraphCode, facts: FactSet) -> GraphClass | Uncl
                     ("tunnel", "knotting-arc"))
             return Unclassified(
                 "constituent knot types are unknown",
-                tuple(f"knot-trivial:{c}" for c in comps))
+                tuple(f"knot-trivial:{name}" for name, _ in comps))
         return Unclassified("planarity is unknown", ("planar",))
 
     if planar is True:
@@ -1180,13 +1185,16 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
     loopings = _meta_int(meta, lines, "loopings") or 0
     if loopings < 0:
         raise StructureError("meta loopings must not be negative", lines["loopings"])
+    n = _meta_int(meta, lines, "n")
+    if n is not None and n < 2:
+        raise StructureError(f"meta n must be at least 2, got {n}", lines["n"])
     return Provenance(
         origin=meta["origin"],
         source_kind=meta.get("source-kind"),
         looping_kind=meta.get("looping-kind"),
         loopings=loopings,
         family=meta.get("family"),
-        n=_meta_int(meta, lines, "n"),
+        n=n,
         variant=meta.get("variant"),
         mirror=meta.get("mirror") == "true",
     )

@@ -2,16 +2,29 @@ import hashlib
 import io
 import json
 import os
+import string
 import tempfile
 import unittest
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
+from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 from unittest import mock
+
+from hypothesis import assume, given, settings, strategies as st
 
 import hkdiag
 from hkdiag import cli, diagram, homology, labeling, spatial, wirtinger
 from hkdiag.cli import main
-from hkdiag.spatial import closed_braid, format_code
+from hkdiag.spatial import (
+    SpatialGraphCode,
+    VertexCode,
+    closed_braid,
+    family_torus_link,
+    format_code,
+    loop_at,
+    resolve_end,
+)
 
 H1_DIAGRAM = "node v hollow genus=2\nedge v v label=h1\n"
 THETA_DIAGRAM = (
@@ -498,7 +511,7 @@ class AnalyzeTests(unittest.TestCase):
 
     def test_analyze_rejects_bad_meta(self):
         p = str(Path(self.tmp.name) / "meta.txt")
-        for token in ("n=abc", "loopings=abc", "loopings=-1", "origin=nonsense"):
+        for token in ("n=abc", "loopings=abc", "loopings=-1", "origin=nonsense", "n=0"):
             Path(p).write_text(f"graph link\nedge k\nmeta origin=family {token}\n")
             code, data, _ = self.analyze_json(p)
             self.assertEqual(code, 2, token)
@@ -544,16 +557,25 @@ class AnalyzeTests(unittest.TestCase):
     def test_analyze_validates_each_code_and_reduces_once(self):
         """One validate_code per code object, one Smith normal form, and each
         constituent invariant computed once per analyze, counted through every
-        hkdiag module namespace: classify_atoroidal reads the computed split
-        entry instead of building the constituent link again."""
+        hkdiag module namespace: classify_atoroidal reads the linking number
+        analyze already holds instead of building the constituent link again,
+        also when lk = 0 certifies nothing."""
         theta = self.build("theta.txt", "torus-link", "--n", "5", "--tunnel")
         handcuff = self.build("h.txt", "torus-link", "--n", "10", "--tunnel")
+        g = family_torus_link(2, tunnel=True)
+        looped = loop_at(g, "u", (("a", 0), ("t", 0)))
+        double = loop_at(looped, "v", (resolve_end(looped, "v", "b.0"),
+                                       resolve_end(looped, "v", "t+a")))
+        unlinked = str(Path(self.tmp.name) / "double.txt")
+        Path(unlinked).write_text(format_code(double))
+        # the handcuff and its constituent link
+        handcuff_counts = {"validate": 2, "alexander_polynomial": 2, "linking_number": 1,
+                           "constituent_links": 1}
         expected = {
             theta: {"validate": 1, "alexander_polynomial": 3, "linking_number": 0,
                     "constituent_links": 1},
-            # the handcuff and its constituent link
-            handcuff: {"validate": 2, "alexander_polynomial": 2, "linking_number": 1,
-                       "constituent_links": 1},
+            handcuff: handcuff_counts,
+            unlinked: handcuff_counts,
         }
         for path, counts in expected.items():
             with ExitStack() as stack:
@@ -575,6 +597,118 @@ class AnalyzeTests(unittest.TestCase):
             self.assertEqual(len(validated), counts["validate"], path)
             for name, call in calls.items():
                 self.assertEqual(call.call_count, counts[name], (path, name))
+
+
+ID_CHARS = string.ascii_letters + string.digits + "_+-"
+
+
+def renamed(g: SpatialGraphCode, names: dict[str, str]) -> SpatialGraphCode:
+    """The same code with every edge id e replaced by names[e]."""
+    edges = tuple(replace(e, id=names[e.id]) for e in g.edges)
+    vertices = tuple(VertexCode(v.id, tuple((names[eid], side) for eid, side in v.ends))
+                     for v in g.vertices)
+    return SpatialGraphCode(g.kind, vertices, edges, g.crossings, g.provenance)
+
+
+class RenamedEdgeTests(unittest.TestCase):
+    """Edge ids are names only: analyze classifies a renamed code as the
+    original, also when the new ids contain the "+" that joins the names of
+    theta constituents."""
+
+    def classify(self, g: SpatialGraphCode, assertions) -> tuple[str | None, list | None]:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "code.txt")
+            Path(path).write_text(format_code(g))
+            argv = ["analyze", path, "--format", "json"]
+            for a in assertions:
+                argv += ["--assert", a]
+            code, out, err = run(argv)
+        self.assertNotEqual(code, 3, err)
+        self.assertEqual(code, 0, err)
+        data = json.loads(out)
+        return data["class"], data.get("unclassified", {}).get("needed")
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=12), mirror=st.booleans(),
+           ids=st.lists(st.text(st.one_of(st.just("+"), st.sampled_from(ID_CHARS)),
+                                min_size=1, max_size=5),
+                        min_size=3, max_size=3, unique=True),
+           tunnel=st.booleans())
+    def test_renamed_edges_classify_alike(self, n, mirror, ids, tunnel):
+        # ids such as w+z, w+z+w and z+w give two constituents one name,
+        # which no reader of the names can tell apart; this property is about
+        # ids being read back out of names, so it leaves that case out
+        ordered = sorted(ids)
+        assume(len({f"{a}+{b}" for a, b in combinations(ordered, 2)}) == 3)
+        g = family_torus_link(n, tunnel=True, mirror=mirror)
+        names = dict(zip((e.id for e in g.edges), ids))
+        base = ("atoroidal=true", "planar=false")
+        self.assertEqual(
+            self.classify(renamed(g, names), base + ((f"tunnel={names['t']}",) if tunnel else ())),
+            self.classify(g, base + (("tunnel=t",) if tunnel else ())))
+
+
+class AnalyzeOutputTests(unittest.TestCase):
+    """analyze prints what it printed before its error mapping, constituent
+    names and split certificate each got a single owner."""
+
+    # sha256 of stdout of one analyze over every input below, in input
+    # order, with the temporary directory written as <tmp>; recorded before
+    # that change
+    OUTPUT_SHA256 = {
+        "text": "17138afb3f8a319ad63c0cd94e0b12ffdce09e7448369ef7db1f13af6cc23a40",
+        "json": "2bf7b0e9948f96f6b4b9ea2e6792a89cb4f693bbf68563ef2dc095a785d782d1",
+        "text asserted": "e06bdac3a23b088ce744664225dbbebf4099d63c8b01668c3b21aa32084ea0d3",
+        "json asserted": "3d09a9b4d7c85199123af990d607bb9376dad035c6d2f2f9aa1c438c671241a5",
+    }
+    ASSERTED = ("atoroidal=true", "planar=false", "tunnel=t")
+
+    @staticmethod
+    def inputs(tmp: str) -> list[str]:
+        """The pinned inputs, written into tmp: tunnel thetas and handcuffs of
+        the closed 2-braid family, plain and mirrored, both ringed codes, the
+        spine with a single and a double looping, and a 3-component link."""
+        paths = []
+
+        def family(name, *argv):
+            paths.append(str(Path(tmp) / name))
+            run(["family", *argv, "-o", paths[-1]])
+
+        for n in ("3", "4", "5", "10"):
+            family(f"torus-{n}.txt", "torus-link", "--n", n, "--tunnel")
+            family(f"torus-{n}-mirror.txt", "torus-link", "--n", n, "--tunnel", "--mirror")
+        for ring in ("one", "both"):
+            family(f"ringed-{ring}.txt", "odd-ringed", "--n", "5", "--ring", ring)
+        family("spine.txt", "spine-5-2")
+        for name, argv in (("once.txt", ["--vertex", "u", "--pair", "ka,kb", "--tunnel", "t"]),
+                           ("twice.txt", ["--vertex", "v", "--pair", "ka+kb.0,t.1"])):
+            paths.append(str(Path(tmp) / name))
+            run(["loop", paths[-2], *argv, "-o", paths[-1]])
+        paths.append(str(Path(tmp) / "link3.txt"))
+        Path(paths[-1]).write_text(
+            format_code(closed_braid([(1, 1), (1, 1), (2, 1), (2, 1)], 3)))
+        return paths
+
+    @classmethod
+    def digests(cls) -> dict[str, tuple[int, str]]:
+        """Exit code and stdout digest of each pinned analyze run."""
+        out = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = cls.inputs(tmp)
+            for fmt in ("text", "json"):
+                for suffix, assertions in (("", ()), (" asserted", cls.ASSERTED)):
+                    argv = ["analyze", *paths, "--format", fmt]
+                    for a in assertions:
+                        argv += ["--assert", a]
+                    code, stdout, _ = run(argv)
+                    digest = hashlib.sha256(stdout.replace(tmp, "<tmp>").encode()).hexdigest()
+                    out[fmt + suffix] = code, digest
+        return out
+
+    def test_output_is_unchanged(self):
+        for name, (code, digest) in self.digests().items():
+            self.assertEqual(code, 0, name)
+            self.assertEqual(digest, self.OUTPUT_SHA256[name], name)
 
 
 class DataOverrideTests(unittest.TestCase):

@@ -832,7 +832,8 @@ def test_parse_rejects_garbage():
         parse_code("graph link\npass k x1 over sign=+\n")
 
 
-@pytest.mark.parametrize("token", ["n=abc", "loopings=abc", "loopings=-1", "origin=nonsense"])
+@pytest.mark.parametrize("token", ["n=abc", "loopings=abc", "loopings=-1", "origin=nonsense",
+                                   "n=0", "n=-2"])
 def test_parse_rejects_bad_meta(token):
     with pytest.raises(StructureError) as err:
         parse_code(f"graph link\nedge k\nmeta origin=family\nmeta {token}\n")
