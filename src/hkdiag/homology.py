@@ -91,8 +91,8 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
 
     def det(self) -> int:
-        """Determinant by Bareiss elimination (`bareiss_det`): O(n^3)
-        integer operations, every division exact."""
+        """Determinant by sparse Bareiss elimination in Markowitz order
+        (`bareiss_det`), every division exact."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         return bareiss_det(self.entries)
@@ -104,34 +104,81 @@ class IntMatrix:
 def bareiss_det(rows: Sequence[Sequence], one=1):
     """Determinant of a square matrix over an integral domain.
 
-    Bareiss fraction-free elimination (Math. Comp. 22, 1968): O(n^3) ring
-    operations, and by Sylvester's identity every division by the previous
-    pivot is exact. Entries need only `*`, `-`, exact `//` and truthiness,
-    so int and LaurentPoly both work; `one` is the ring's unit. Where an
-    update term is zero the entry is only rescaled, and a zero stays zero.
+    Bareiss fraction-free elimination (Math. Comp. 22, 1968) on sparse rows,
+    in Markowitz order (Management Science 3, 1957): each step pivots on the
+    first nonzero (i, j) of least (r_i - 1)(c_j - 1), for r_i nonzeros in
+    its row and c_j in its column, stopping at a cost of 0, and updates only
+    the rows with a nonzero in column j. Every other row would only be
+    rescaled, so it is left alone and keeps the step at which it was last
+    brought up to date, with that step's divisor p_then. Rescaling is lazy:
+    a row chosen as pivot becomes x * p_now // p_then entrywise, and a row
+    updated by pivot p with pivot row x becomes (y * p - lead * x) // p_then,
+    or y * p // p_then where x is zero. Each quotient is exact because it is
+    a Bareiss minor (Sylvester's identity); p_now // p_then alone need not
+    be, so the product comes first. Entries need only `*`, `-`, exact `//`
+    and truthiness, so int and LaurentPoly both work; `one` is the ring's
+    unit. The determinant is the last pivot, signed by the permutation that
+    takes pivot rows to pivot columns; a row that empties makes it zero.
     """
     n = len(rows)
-    a = [list(row) for row in rows]
-    negated = False
-    prev = one
-    for k in range(n - 1):
-        if not a[k][k]:
-            i = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if i is None:
-                return a[k][k]
-            a[k], a[i] = a[i], a[k]
-            negated = not negated
-        pivot_row, pivot = a[k], a[k][k]
-        for row in a[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                if lead and pivot_row[j]:
-                    row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
-                elif row[j]:
-                    row[j] = row[j] * pivot // prev
-        prev = pivot
-    det = a[n - 1][n - 1] if n else one
-    return -det if negated else det
+    live = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    in_column: dict[int, set[int]] = {}
+    for i, row in enumerate(live):
+        for j in row:
+            in_column.setdefault(j, set()).add(i)
+    pivots = [one]  # pivots[s]: the divisor of a row brought up to step s
+    level = [0] * n
+    pivot_column = [0] * n
+    pending = set(range(n))
+    for step in range(n):
+        least = n * n  # above every (r_i - 1)(c_j - 1)
+        for candidate in pending:
+            row = live[candidate]
+            if not row:
+                return one - one
+            others = len(row) - 1
+            for column in row:
+                cost = others * (len(in_column[column]) - 1)
+                if cost < least:
+                    least, i, j = cost, candidate, column
+                    if not cost:
+                        break
+            if not least:
+                break
+        pending.remove(i)
+        pivot_column[i] = j
+        row = live[i]
+        if level[i] != step:
+            now, then = pivots[step], pivots[level[i]]
+            row = {c: x * now // then for c, x in row.items()}
+        for c in row:
+            in_column[c].discard(i)
+        p = row.pop(j)
+        for r in in_column.pop(j):
+            other, then = live[r], pivots[level[r]]
+            lead = other.pop(j)
+            updated = {}
+            for c, y in other.items():
+                y = (y * p - lead * row[c]) // then if c in row else y * p // then
+                if y:
+                    updated[c] = y
+                else:
+                    in_column[c].discard(r)
+            for c, x in row.items():
+                if c not in other:
+                    updated[c] = -(lead * x) // then
+                    in_column[c].add(r)
+            live[r], level[r] = updated, step + 1
+        pivots.append(p)
+    # a permutation of n points with c cycles has sign (-1)^(n - c)
+    odd, seen = n % 2, set()
+    for i in range(n):
+        if i not in seen:
+            odd ^= 1
+            while i not in seen:
+                seen.add(i)
+                i = pivot_column[i]
+    return -pivots[n] if odd else pivots[n]
 
 
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
@@ -513,12 +560,22 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __floordiv__(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient by long division from the top exponent down;
-        ValueError if `other` does not divide self."""
+        """Exact quotient, termwise by a monomial and otherwise by long
+        division from the top exponent down; ValueError if `other` does not
+        divide self."""
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return self
+        if len(other.terms) == 1:
+            (shift, lead), = other.terms
+            quotient = []
+            for e, c in self.terms:
+                q, r = divmod(c, lead)
+                if r:
+                    raise ValueError(f"{other} does not divide {self}")
+                quotient.append((e - shift, q))
+            return LaurentPoly(tuple(quotient))
         *rest, (top, lead) = other.terms
         rem, quotient = dict(self.terms), {}
         # an exact quotient's exponents run from top(self) - top down to low

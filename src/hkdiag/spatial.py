@@ -173,6 +173,9 @@ def validate_code(g: SpatialGraphCode) -> list[Violation]:
     crossing_ids = [c.id for c in g.crossings]
     if len(set(crossing_ids)) != len(crossing_ids):
         out.append(Violation("ids", "duplicate crossing id"))
+    shared = _shared_constituent_name(g)
+    if shared:
+        out.append(Violation("ids", f"two theta constituents are both named {shared}"))
 
     known_edges = set(edge_ids)
     known_vertices = set(vertex_ids)
@@ -301,6 +304,18 @@ def _theta_constituents(g: SpatialGraphCode) -> list[tuple[str, EdgeCode, EdgeCo
     e = sorted(g.edges, key=lambda edge: edge.id)
     return [(f"{e[i].id}+{e[j].id}", e[i], e[j], e[3 - i - j])
             for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def _shared_constituent_name(g: SpatialGraphCode) -> str | None:
+    """A name that two constituent knots of a theta code would share.
+
+    The "e1+e2" names need not be distinct when edge ids contain "+": edges
+    w+z, w+z+w and z+w name two constituents w+z+w+z+w.
+    """
+    if g.kind != "theta" or len(g.edges) != 3 or len({e.id for e in g.edges}) != 3:
+        return None
+    names = [name for name, _, _, _ in _theta_constituents(g)]
+    return next((name for name in names if names.count(name) > 1), None)
 
 
 def constituent_links(g: SpatialGraphCode) -> tuple[SpatialGraphCode, ...]:
@@ -1080,6 +1095,7 @@ def parse_code(text: str) -> SpatialGraphCode:
     kind: str | None = None
     vertices: list[VertexCode] = []
     edge_names: list[str] = []
+    last_edge_line = 0
     edge_ends: dict[str, tuple[str | None, str | None]] = {}
     edge_passes: dict[str, list[Pass]] = {}
     signs: dict[str, int] = {}
@@ -1121,6 +1137,7 @@ def parse_code(text: str) -> SpatialGraphCode:
             if name in edge_ends:
                 raise StructureError(f"edge {name} declared twice", lineno)
             edge_names.append(name)
+            last_edge_line = lineno
             edge_ends[name] = (tail, head)
             edge_passes[name] = []
         elif directive == "pass":
@@ -1155,8 +1172,13 @@ def parse_code(text: str) -> SpatialGraphCode:
         for name in edge_names
     )
     crossings = tuple(Crossing(cid, s) for cid, s in sorted(signs.items()))
-    return SpatialGraphCode(kind, tuple(vertices), edges, crossings,
-                            _prov_from_meta(meta, meta_lines))
+    g = SpatialGraphCode(kind, tuple(vertices), edges, crossings,
+                         _prov_from_meta(meta, meta_lines))
+    # read back, such a theta is refused with a line, as a repeated edge is
+    shared = _shared_constituent_name(g)
+    if shared:
+        raise StructureError(f"two theta constituents are both named {shared}", last_edge_line)
+    return g
 
 
 def _meta_int(meta: dict[str, str], lines: dict[str, int], key: str) -> int | None:

@@ -8,10 +8,11 @@ ends. The Smith normal form of that small relation matrix gives the group
 and exact integer coordinates for every meridian.
 
 Splitting the circle of a knot code at its under-passes gives the arcs of
-the Fox-calculus matrix of the one-variable Alexander polynomial, whose
-determinant Bareiss elimination over Z[t, t^-1] takes in O(m^3) ring
-operations for m under-passes, every division exact. Those polynomials
-certify that constituent knots of a graph code are knotted.
+the Fox-calculus matrix of the one-variable Alexander polynomial. Its rows
+hold at most three nonzeros, so its determinant is taken by sparse Bareiss
+elimination over Z[t, t^-1] in Markowitz order, which rescales a row only
+when it is next updated or pivoted on, every division exact. Those
+polynomials certify that constituent knots of a graph code are knotted.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     of the crossing relations: at a positive crossing the incoming under
     arc contributes t, the over arc 1 - t, and the outgoing arc -1; at a
     negative crossing t is inverted. One row and one column are dropped,
-    and Bareiss elimination over Z[t, t^-1] (`bareiss_det`) takes the
-    determinant in O(m^3) ring operations for m under-passes, every
+    and sparse Bareiss elimination over Z[t, t^-1] in Markowitz order,
+    with lazy rescaling (`bareiss_det`), takes the determinant, every
     division exact. The result is shifted to lowest degree zero with
     positive leading coefficient. For codes of genuine knot diagrams the
     value at 1 is a unit; garbage codes make no such promise.

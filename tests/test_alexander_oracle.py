@@ -60,13 +60,15 @@ def burau_alexander(word, strands: int) -> LaurentPoly:
 
 
 @st.composite
-def knotted_braids(draw):
-    """Braid words of 3 or 4 strands, at most 16 letters, whose closure is a
-    knot. A drawn word is completed by letters that each cross two strands
-    of different closed components, which merges those components."""
-    strands = draw(st.sampled_from((3, 4)))
+def knotted_braids(draw, strand_counts=(3, 4), min_letters=0, max_letters=16):
+    """Braid words on one of `strand_counts` strands, of `min_letters` to
+    `max_letters` letters, whose closure is a knot. A drawn word is
+    completed by letters that each cross two strands of different closed
+    components, which merges those components."""
+    strands = draw(st.sampled_from(strand_counts))
     letter = st.tuples(st.integers(1, strands - 1), st.sampled_from((1, -1)))
-    word = draw(st.lists(letter, max_size=16 - (strands - 1)))
+    word = draw(st.lists(letter, min_size=min_letters,
+                         max_size=max_letters - (strands - 1)))
     while True:
         at = list(range(strands))  # at[p]: the strand that ends at position p
         for i, _ in word:
@@ -95,5 +97,13 @@ def test_burau_oracle_hand_cases():
 @settings(max_examples=80, deadline=None)
 @given(knotted_braids())
 def test_alexander_polynomial_matches_burau(braid):
+    word, strands = braid
+    assert alexander_polynomial(closed_braid(word, strands)) == burau_alexander(word, strands)
+
+
+@seed(20261)
+@settings(max_examples=25, deadline=None)
+@given(knotted_braids(strand_counts=(5,), min_letters=20, max_letters=30))
+def test_alexander_polynomial_matches_burau_on_five_strands(braid):
     word, strands = braid
     assert alexander_polynomial(closed_braid(word, strands)) == burau_alexander(word, strands)

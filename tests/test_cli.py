@@ -602,6 +602,15 @@ class AnalyzeTests(unittest.TestCase):
 ID_CHARS = string.ascii_letters + string.digits + "_+-"
 
 
+@st.composite
+def clashing_ids(draw):
+    """Edge ids p+r, (p+r+)^k p and r+p: for p before r the names of the
+    first two and of the last two are both (p+r+)^(k+1) p."""
+    text = st.text(st.sampled_from(ID_CHARS), min_size=1, max_size=4)
+    p, r, k = draw(text), draw(text), draw(st.integers(1, 2))
+    return [f"{p}+{r}", f"{p}+{r}+" * k + p, f"{r}+{p}"]
+
+
 def renamed(g: SpatialGraphCode, names: dict[str, str]) -> SpatialGraphCode:
     """The same code with every edge id e replaced by names[e]."""
     edges = tuple(replace(e, id=names[e.id]) for e in g.edges)
@@ -615,14 +624,18 @@ class RenamedEdgeTests(unittest.TestCase):
     original, also when the new ids contain the "+" that joins the names of
     theta constituents."""
 
-    def classify(self, g: SpatialGraphCode, assertions) -> tuple[str | None, list | None]:
+    @staticmethod
+    def analyze(g: SpatialGraphCode, assertions=(), *options) -> tuple[int, str, str]:
         with tempfile.TemporaryDirectory() as tmp:
             path = str(Path(tmp) / "code.txt")
             Path(path).write_text(format_code(g))
-            argv = ["analyze", path, "--format", "json"]
+            argv = ["analyze", path, *options]
             for a in assertions:
                 argv += ["--assert", a]
-            code, out, err = run(argv)
+            return run(argv)
+
+    def classify(self, g: SpatialGraphCode, assertions) -> tuple[str | None, list | None]:
+        code, out, err = self.analyze(g, assertions, "--format", "json")
         self.assertNotEqual(code, 3, err)
         self.assertEqual(code, 0, err)
         data = json.loads(out)
@@ -646,6 +659,34 @@ class RenamedEdgeTests(unittest.TestCase):
         self.assertEqual(
             self.classify(renamed(g, names), base + ((f"tunnel={names['t']}",) if tunnel else ())),
             self.classify(g, base + (("tunnel=t",) if tunnel else ())))
+
+    def test_shared_constituent_name_is_a_structure_error(self):
+        # edges w+z, w+z+w, z+w (in any order) make w+z+w+z+w the name of two
+        # of the trefoil's three constituents
+        g = family_torus_link(3, tunnel=True)
+        for names, assertions in (({"ka": "w+z", "kb": "w+z+w", "t": "z+w"}, ()),
+                                  ({"ka": "z+w", "kb": "w+z+w", "t": "w+z"},
+                                   ("tunnel=w+z",))):
+            code, out, _ = self.analyze(renamed(g, names), assertions)
+            self.assertEqual(code, 2, out)
+            self.assertIn(": line 6: two theta constituents are both named w+z+w+z+w", out)
+            self.assertNotIn("constituents:", out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=8), mirror=st.booleans(),
+           ids=st.one_of(clashing_ids(),
+                         st.lists(st.text(st.one_of(st.just("+"), st.sampled_from(ID_CHARS)),
+                                          min_size=1, max_size=5),
+                                  min_size=3, max_size=3, unique=True)))
+    def test_exit_2_on_exactly_the_triples_with_a_shared_name(self, n, mirror, ids):
+        # the triples test_renamed_edges_classify_alike leaves out; only a
+        # theta (odd n) names constituents after pairs of edges
+        assume(len(set(ids)) == 3)
+        ordered = sorted(ids)
+        shared = len({f"{a}+{b}" for a, b in combinations(ordered, 2)}) < 3
+        g = family_torus_link(n, tunnel=True, mirror=mirror)
+        code, out, _ = self.analyze(renamed(g, dict(zip((e.id for e in g.edges), ids))))
+        self.assertEqual(code, 2 if shared and n % 2 else 0, out)
 
 
 class AnalyzeOutputTests(unittest.TestCase):

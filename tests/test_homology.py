@@ -1,7 +1,8 @@
 """Exact-arithmetic checks for the integer homology toolbox.
 
 The Smith normal form implementation is cross-checked against sympy's,
-which serves as an independent oracle; everything downstream (group
+which serves as an independent oracle, and the sparse determinant against
+sympy's and a dense elimination in natural order; everything downstream (group
 presentations, subgroup indices, slope classification) is checked against
 hand-computed values.
 """
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+from det_oracle import dense_bareiss_det
 
 from hkdiag.homology import (
     AbelianGroup,
@@ -318,3 +321,72 @@ def test_bareiss_det_on_sparse_integer_matrices_matches_sympy():
         n = rng.randint(0, 6)
         rows = [[rng.choice((0, 0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
         assert bareiss_det(rows) == (int(Matrix(rows).det()) if n else 1)
+
+
+def test_bareiss_det_hand_cases():
+    one, t, zero = LaurentPoly.constant(1), LaurentPoly.t(), LaurentPoly()
+    assert bareiss_det([]) == 1
+    assert bareiss_det([], one) == one
+    assert bareiss_det([[-7]]) == -7
+    assert bareiss_det([[t - one]], one) == t - one
+    assert bareiss_det([[0]]) == 0
+    assert bareiss_det([[zero, t], [zero, one]], one) == zero
+    # the only cost-0 pivot of row 0 sits in column 1, so pivot rows go to
+    # pivot columns by a transposition: the sign is the permutation's alone
+    assert bareiss_det([[1, 1], [1, 0]]) == -1
+    assert bareiss_det([[one, t], [t, zero]], one) == -(t * t)
+    assert bareiss_det([[0, 2, 0, 0], [3, 0, 0, 1], [0, 0, 5, 0], [0, 0, 0, 7]]) == -210
+
+
+@st.composite
+def fox_matrices(draw):
+    """Matrices shaped like the Fox matrix of alexander_polynomial: for m
+    arcs, row j holds t^(+-1) at column j, 1 - t^(+-1) at a drawn over arc
+    and -1 at column j + 1 mod m, the last column is dropped, and up to
+    three rows are replaced by random ones. Order m - 1 <= 14."""
+    m = draw(st.integers(2, 15))
+    one = LaurentPoly.constant(1)
+    rows = []
+    for j in range(m - 1):
+        t = LaurentPoly.t(draw(st.sampled_from((1, -1))))
+        row = [LaurentPoly()] * m
+        for col, entry in ((j, t), (draw(st.integers(0, m - 1)), one - t), ((j + 1) % m, -one)):
+            row[col] = row[col] + entry
+        rows.append(row[: m - 1])
+    entry = st.one_of(st.just(LaurentPoly()), laurent_polys(-2, 2))
+    for j in draw(st.lists(st.integers(0, m - 2), max_size=3)):
+        rows[j] = draw(st.lists(entry, min_size=m - 1, max_size=m - 1))
+    return rows
+
+
+@settings(max_examples=75, deadline=None)
+@given(fox_matrices())
+def test_bareiss_det_matches_dense_elimination_on_fox_matrices(rows):
+    one = LaurentPoly.constant(1)
+    assert bareiss_det(rows, one) == dense_bareiss_det(rows, one)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse integer matrices of order at most 10; some have a row that
+    combines two others, some an all-zero column."""
+    n = draw(st.integers(0, 10))
+    flat = draw(st.lists(st.integers(-6, 6).map(lambda x: x if x % 3 else 0),
+                         min_size=n * n, max_size=n * n))
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        others = st.sampled_from([k for k in range(n) if k != i])
+        j, k, a, b = draw(others), draw(others), draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    if n and draw(st.booleans()):
+        column = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[column] = 0
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_matrices())
+def test_bareiss_det_matches_dense_elimination_on_integer_matrices(rows):
+    assert bareiss_det(rows) == dense_bareiss_det(rows)

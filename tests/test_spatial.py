@@ -517,7 +517,7 @@ def test_alexander_torus_knot_five():
     )
 
 
-@pytest.mark.parametrize("n", [31, 41])
+@pytest.mark.parametrize("n", [31, 41, 101])
 def test_alexander_torus_knot_closed_form(n):
     """Delta(T(2,n)) = 1 - t + ... + t^(n-1), from a minor of order n - 1:
     out of reach of a determinant that grows exponentially with it."""
@@ -858,3 +858,20 @@ def test_validate_catches_bad_shape():
         (),
     )
     assert any(v.code == "shape" for v in validate_code(g))
+
+
+def test_validate_catches_shared_constituent_names():
+    # w+z followed by w+z+w and w+z+w followed by z+w spell one name
+    g = SpatialGraphCode(
+        "theta",
+        (VertexCode("u", (("w+z", 0), ("w+z+w", 0), ("z+w", 0))),
+         VertexCode("v", (("w+z", 1), ("w+z+w", 1), ("z+w", 1))),),
+        (EdgeCode("w+z", "u", "v"), EdgeCode("w+z+w", "u", "v"), EdgeCode("z+w", "u", "v")),
+        (),
+    )
+    assert [v.code for v in validate_code(g)] == ["ids"]
+    with pytest.raises(StructureError, match="both named w\\+z\\+w\\+z\\+w"):
+        constituent_links(g)
+    with pytest.raises(StructureError) as err:
+        parse_code(format_code(g))
+    assert err.value.line == 6
