@@ -5,6 +5,8 @@ characteristic diagrams, symmetry reads the bound table, loop and family
 build spatial graph codes, linking and analyze interrogate them. Exit codes
 are 0 for success, 1 for rule violations or contradicted assertions, 2 for
 malformed input, and 3 for an internal error, which prints its traceback.
+A graph code with a structural defect is malformed input: every command exits
+2 with its line; analyze's JSON keeps an always-empty "violations" key.
 """
 
 from __future__ import annotations
@@ -231,21 +233,18 @@ def _write_code(g, out: str | None, fmt: str) -> None:
 
 
 def _cmd_loop(args) -> int:
+    g = parse_code(_read(args.file))
+    tokens = args.pair.split(",")
+    if len(tokens) != 2:
+        raise StructureError("--pair needs two comma-separated edge ends")
+    pair = (
+        resolve_end(g, args.vertex, tokens[0].strip()),
+        resolve_end(g, args.vertex, tokens[1].strip()),
+    )
+    kind = looping_kind(g, pair, args.tunnel)
     try:
-        g = parse_code(_read(args.file))
-        tokens = args.pair.split(",")
-        if len(tokens) != 2:
-            raise StructureError("--pair needs two comma-separated edge ends")
-        pair = (
-            resolve_end(g, args.vertex, tokens[0].strip()),
-            resolve_end(g, args.vertex, tokens[1].strip()),
-        )
-        kind = looping_kind(g, pair, args.tunnel)
         result = loop_at(g, args.vertex, pair, kind=kind, mirror=args.mirror)
-    except StructureError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_STRUCTURE
-    except (ContradictionError, ValueError) as err:
+    except ContradictionError as err:
         print(f"rejected: {err}", file=sys.stderr)
         return EXIT_VIOLATION
     _write_code(result, args.out, args.format)
@@ -357,12 +356,7 @@ def _analyze(report: _FileReport, path: str, assertions: tuple[str, ...]) -> Non
         report.data["provenance"] = dict(_prov_items(g.provenance))
         report.say(f"provenance: {summary}")
 
-    report.data["violations"] = [{"code": v.code, "message": v.message} for v in g.violations]
-    if g.violations:
-        report.code = EXIT_VIOLATION
-        for v in g.violations:
-            report.say(f"violation [{v.code}] {v.message}")
-        return
+    report.data["violations"] = []  # parse_code refuses violations; kept for scripts
 
     facts = FactSet()
     for token in assertions:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
@@ -73,6 +73,8 @@ class DiagramType:
 class Violation:
     code: str
     message: str
+    # (kind, id) of each element it is about, e.g. ("vertex", "u"), for a reader's line
+    where: tuple[tuple[str, str], ...] = field(default=(), compare=False)
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.message}"
@@ -376,7 +378,8 @@ def _parse_lines(text: str) -> tuple[CharDiagram, dict[int, tuple[str, int]]]:
     business.
     """
     nodes: list[Node] = []
-    edges: list[tuple[str, str]] = []
+    node_ids: set[str] = set()
+    edges: list[tuple[str, str, int]] = []  # endpoints and line
     labels: dict[int, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -398,6 +401,9 @@ def _parse_lines(text: str) -> tuple[CharDiagram, dict[int, tuple[str, int]]]:
                 kind = NodeKind(parts[2])
             except ValueError:
                 raise StructureError(f"unknown node kind {parts[2]!r}", lineno) from None
+            if parts[1] in node_ids:
+                raise StructureError("duplicate node id", lineno)
+            node_ids.add(parts[1])
             nodes.append(Node(parts[1], kind, genus))
         elif parts[0] == "edge":
             if len(parts) not in (3, 4):
@@ -406,16 +412,14 @@ def _parse_lines(text: str) -> tuple[CharDiagram, dict[int, tuple[str, int]]]:
                 if not parts[3].startswith("label="):
                     raise StructureError(f"unexpected token {parts[3]!r}", lineno)
                 labels[len(edges)] = (parts[3][len("label="):], lineno)
-            edges.append((parts[1], parts[2]))
+            edges.append((parts[1], parts[2], lineno))
         else:
             raise StructureError(f"unknown directive {parts[0]!r}", lineno)
-    try:
-        diagram = CharDiagram.build(nodes, edges)
-    except StructureError:
-        raise
-    except ValueError as exc:
-        raise StructureError(str(exc)) from exc
-    return diagram, labels
+    for a, b, lineno in edges:
+        for end in (a, b):
+            if end not in node_ids:
+                raise StructureError(f"edge endpoint {end!r} is not a node", lineno)
+    return CharDiagram.build(nodes, [(a, b) for a, b, _ in edges]), labels
 
 
 def parse_diagram(text: str) -> CharDiagram:

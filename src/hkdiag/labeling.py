@@ -175,9 +175,6 @@ class AnnulusDiagram:
     def label_kinds(self) -> tuple[str, ...]:
         return tuple(sorted(lab.kind for lab in self.labels if lab is not None))
 
-    def labels_of_kind(self, kind: str) -> tuple[int, ...]:
-        return tuple(i for i, lab in enumerate(self.labels) if lab is not None and lab.kind == kind)
-
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """validate_labels of this diagram, computed once."""

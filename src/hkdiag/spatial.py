@@ -32,7 +32,8 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_+-]+$")
 
 
 class ContradictionError(ValueError):
-    """Raised when asserted facts and computed evidence cannot both hold."""
+    """Raised when a request and the code cannot both hold: asserted facts
+    against computed evidence, or a looping that would disconnect the graph."""
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,6 @@ class SpatialGraphCode:
     provenance: Provenance | None = None
 
     def __post_init__(self):
-        if self.kind not in ("theta", "handcuff", "link"):
-            raise StructureError(f"unknown graph kind {self.kind!r}")
         object.__setattr__(self, "crossings", tuple(sorted(self.crossings, key=lambda c: c.id)))
 
     # Indices built once per object, on first use. cached_property writes to
@@ -162,62 +161,68 @@ class SpatialGraphCode:
 
 
 def validate_code(g: SpatialGraphCode) -> list[Violation]:
-    """Structural checks: id sanity, end incidences, pass pairing, shape."""
+    """Structural checks: id sanity, end incidences, pass pairing, shape. Each
+    violation's `where` names the elements it is about; a shape one names none."""
     out: list[Violation] = []
-    edge_ids = [e.id for e in g.edges]
-    if len(set(edge_ids)) != len(edge_ids):
-        out.append(Violation("ids", "duplicate edge id"))
-    vertex_ids = [v.id for v in g.vertices]
-    if len(set(vertex_ids)) != len(vertex_ids):
-        out.append(Violation("ids", "duplicate vertex id"))
-    crossing_ids = [c.id for c in g.crossings]
-    if len(set(crossing_ids)) != len(crossing_ids):
-        out.append(Violation("ids", "duplicate crossing id"))
+
+    def flag(code: str, message: str, *where: tuple[str, str]) -> None:
+        out.append(Violation(code, message, where))
+
+    known: dict[str, set[str]] = {}
+    for kind, elements in (("edge", g.edges), ("vertex", g.vertices), ("crossing", g.crossings)):
+        ids = [x.id for x in elements]
+        known[kind] = set(ids)
+        if len(known[kind]) != len(ids):
+            flag("ids", f"duplicate {kind} id", *((kind, i) for i in ids if ids.count(i) > 1))
     shared = _shared_constituent_name(g)
     if shared:
-        out.append(Violation("ids", f"two theta constituents are both named {shared}"))
+        flag("ids", f"two theta constituents are both named {shared}",
+             *(("edge", e.id) for e in g.edges))
 
-    known_edges = set(edge_ids)
-    known_vertices = set(vertex_ids)
     claimed: dict[tuple[str, int], str] = {}
     for v in g.vertices:
         if len(v.ends) != 3:
-            out.append(Violation("arity", f"vertex {v.id} has {len(v.ends)} ends, expected 3"))
+            flag("arity", f"vertex {v.id} has {len(v.ends)} ends, expected 3", ("vertex", v.id))
         for end in v.ends:
             eid, side = end
-            if eid not in known_edges or side not in (0, 1):
-                out.append(Violation("ends", f"vertex {v.id} references unknown end {eid}.{side}"))
+            if eid not in known["edge"] or side not in (0, 1):
+                flag("ends", f"vertex {v.id} references unknown end {eid}.{side}", ("vertex", v.id))
                 continue
             if end in claimed:
-                out.append(Violation("ends", f"end {eid}.{side} claimed by two vertices"))
+                flag("ends", f"end {eid}.{side} claimed by two vertices",
+                     ("vertex", claimed[end]), ("vertex", v.id))
             claimed[end] = v.id
     for e in g.edges:
         if e.is_circle:
-            if (e.id, 0) in claimed or (e.id, 1) in claimed:
-                out.append(Violation("ends", f"circle {e.id} is attached to a vertex"))
+            holders = [("vertex", claimed[(e.id, s)]) for s in (0, 1) if (e.id, s) in claimed]
+            if holders:
+                flag("ends", f"circle {e.id} is attached to a vertex", ("edge", e.id), *holders)
             continue
         for side, want in ((0, e.tail), (1, e.head)):
-            if want not in known_vertices:
-                out.append(Violation("ends", f"edge {e.id} endpoint {want!r} is not a vertex"))
+            if want not in known["vertex"]:
+                flag("ends", f"edge {e.id} endpoint {want!r} is not a vertex", ("edge", e.id))
             elif claimed.get((e.id, side)) != want:
-                out.append(Violation("ends", f"end {e.id}.{side} is not listed at vertex {want}"))
+                flag("ends", f"end {e.id}.{side} is not listed at vertex {want}",
+                     ("edge", e.id), ("vertex", want))
 
     uses = g.crossing_passes()
-    declared = set(crossing_ids)
     for cid, entries in sorted(uses.items()):
-        if cid not in declared:
-            out.append(Violation("passes", f"pass references undeclared crossing {cid}"))
+        if cid not in known["crossing"]:
+            flag("passes", f"pass references undeclared crossing {cid}", ("crossing", cid))
             continue
         if len(entries) != 2 or sorted(pos for _, _, pos in entries) != ["over", "under"]:
-            out.append(Violation("passes", f"crossing {cid} needs exactly one over and one under pass"))
-    for cid in sorted(declared - set(uses)):
-        out.append(Violation("passes", f"crossing {cid} is never visited"))
+            flag("passes", f"crossing {cid} needs exactly one over and one under pass",
+                 ("crossing", cid))
+    for cid in sorted(known["crossing"] - set(uses)):
+        flag("passes", f"crossing {cid} is never visited", ("crossing", cid))
 
     out.extend(_shape_violations(g))
     return out
 
 
 def _shape_violations(g: SpatialGraphCode) -> list[Violation]:
+    if g.kind not in ("theta", "handcuff", "link"):
+        return [Violation("shape", f"unknown graph kind {g.kind!r}")]
     out: list[Violation] = []
     if g.kind == "link":
         if g.vertices:
@@ -446,7 +451,7 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
         raise StructureError(f"ends {p} and {q} must be two distinct ends at {vertex_id}")
     (r,) = (end for end in v.ends if end not in (p, q))
     if p[0] == q[0]:
-        raise ValueError("splicing a loop's two ends onto each other disconnects the graph")
+        raise ContradictionError("splicing a loop's two ends onto each other disconnects the graph")
     if p[0] == r[0]:
         # Make sure the edge sharing its other end with the remainder comes
         # second, so the merged strand finishes at the ring vertex.
@@ -540,8 +545,7 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
 
     result = SpatialGraphCode("handcuff", tuple(new_vertices), tuple(new_edges),
                               crossings, prov)
-    if result.violations:
-        raise StructureError(f"looping produced an invalid code: {result.violations[0]}")
+    _require_valid(result)
     return result
 
 
@@ -1091,16 +1095,21 @@ def _check_id(token: str, lineno: int) -> str:
 
 
 def parse_code(text: str) -> SpatialGraphCode:
-    """Parse the line-oriented text format back into a code."""
+    """Parse the line-oriented text format back into a code without violations.
+
+    Anything else raises StructureError at the last line needed to see the
+    defect: the latest line declaring an element it is about (a crossing is
+    declared by its passes), or the graph line for the whole code's kind or shape.
+    """
     kind: str | None = None
+    graph_line = lineno = None
     vertices: list[VertexCode] = []
-    edge_names: list[str] = []
-    last_edge_line = 0
-    edge_ends: dict[str, tuple[str | None, str | None]] = {}
-    edge_passes: dict[str, list[Pass]] = {}
+    edge_reads: list[tuple[str, str | None, str | None, list[Pass]]] = []
+    passes: dict[str, list[Pass]] = {}  # by edge id
     signs: dict[str, int] = {}
     meta: dict[str, str] = {}
     meta_lines: dict[str, int] = {}
+    lines: dict[str, dict[str, int]] = {"vertex": {}, "edge": {}, "crossing": {}}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1111,7 +1120,7 @@ def parse_code(text: str) -> SpatialGraphCode:
         if directive == "graph":
             if kind is not None or len(tokens) != 2:
                 raise StructureError("exactly one graph line must come first", lineno)
-            kind = tokens[1]
+            kind, graph_line = tokens[1], lineno
         elif directive == "vertex":
             if len(tokens) < 3 or tokens[2] != "ends":
                 raise StructureError("vertex line needs: vertex <id> ends <e.side>...", lineno)
@@ -1122,6 +1131,7 @@ def parse_code(text: str) -> SpatialGraphCode:
                     raise StructureError(f"bad end token {token!r}", lineno)
                 ends.append((_check_id(eid, lineno), int(side)))
             vertices.append(VertexCode(_check_id(tokens[1], lineno), tuple(ends)))
+            lines["vertex"][tokens[1]] = lineno
         elif directive == "edge":
             if len(tokens) == 2:
                 name, tail, head = _check_id(tokens[1], lineno), None, None
@@ -1134,18 +1144,15 @@ def parse_code(text: str) -> SpatialGraphCode:
                         "edge line needs: edge <id> [loop] from <v> to <v>", lineno)
                 name = _check_id(tokens[1], lineno)
                 tail, head = _check_id(rest[1], lineno), _check_id(rest[3], lineno)
-            if name in edge_ends:
-                raise StructureError(f"edge {name} declared twice", lineno)
-            edge_names.append(name)
-            last_edge_line = lineno
-            edge_ends[name] = (tail, head)
-            edge_passes[name] = []
+            lines["edge"][name] = lineno
+            passes[name] = []
+            edge_reads.append((name, tail, head, passes[name]))
         elif directive == "pass":
             if len(tokens) != 5 or not tokens[4].startswith("sign="):
                 raise StructureError(
                     "pass line needs: pass <edge> <crossing> over|under sign=+|-", lineno)
             name, cid, position = tokens[1], _check_id(tokens[2], lineno), tokens[3]
-            if name not in edge_passes:
+            if name not in passes:
                 raise StructureError(f"pass for undeclared edge {name!r}", lineno)
             if position not in ("over", "under"):
                 raise StructureError(f"bad pass position {position!r}", lineno)
@@ -1155,7 +1162,8 @@ def parse_code(text: str) -> SpatialGraphCode:
             sign = 1 if sign_token == "+" else -1
             if signs.setdefault(cid, sign) != sign:
                 raise StructureError(f"crossing {cid} has conflicting signs", lineno)
-            edge_passes[name].append(Pass(cid, position))
+            passes[name].append(Pass(cid, position))
+            lines["crossing"][cid] = lineno
         elif directive == "meta":
             for token in tokens[1:]:
                 key, eq, value = token.partition("=")
@@ -1166,18 +1174,15 @@ def parse_code(text: str) -> SpatialGraphCode:
             raise StructureError(f"unknown directive {directive!r}", lineno)
 
     if kind is None:
-        raise StructureError("missing graph line")
-    edges = tuple(
-        EdgeCode(name, edge_ends[name][0], edge_ends[name][1], tuple(edge_passes[name]))
-        for name in edge_names
-    )
+        raise StructureError("missing graph line", lineno)
+    edges = tuple(EdgeCode(name, tail, head, tuple(visits))
+                  for name, tail, head, visits in edge_reads)
     crossings = tuple(Crossing(cid, s) for cid, s in sorted(signs.items()))
     g = SpatialGraphCode(kind, tuple(vertices), edges, crossings,
                          _prov_from_meta(meta, meta_lines))
-    # read back, such a theta is refused with a line, as a repeated edge is
-    shared = _shared_constituent_name(g)
-    if shared:
-        raise StructureError(f"two theta constituents are both named {shared}", last_edge_line)
+    if g.violations:
+        v = g.violations[0]
+        raise StructureError(v.message, max((lines[k][i] for k, i in v.where), default=graph_line))
     return g
 
 

@@ -2,11 +2,13 @@ import hashlib
 import io
 import json
 import os
+import re
 import string
 import tempfile
 import unittest
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
 from dataclasses import replace
+from importlib import resources
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -194,6 +196,15 @@ class AnnulusFileTests(unittest.TestCase):
         self.assertEqual(len(data), 2)
         self.assertEqual(data[0]["type"], "(1,1,0,hollow)")
         self.assertTrue(data[1]["violations"])
+
+    def test_unreadable_nodes_and_edges_name_their_line(self):
+        for text, line in (("node v hollow genus=2\nnode v solid\nedge v v\n", 2),
+                           ("node v hollow genus=2\nedge v v\nedge v w\n", 3)):
+            p = self.path("broken.txt", text)
+            for command in ("validate", "classify", "symmetry"):
+                code, out, _ = run([command, p])
+                self.assertEqual(code, 2, (text, command))
+                self.assertEqual(re.findall(r"line \d+:", out), [f"line {line}:"], out)
 
     def test_classify_reports_facts(self):
         p = self.path("h1.txt", H1_DIAGRAM)
@@ -506,8 +517,8 @@ class AnalyzeTests(unittest.TestCase):
         p = str(Path(self.tmp.name) / "broken.txt")
         Path(p).write_text("graph link\nedge k\npass k x1 over sign=+\n")
         code, data, _ = self.analyze_json(p)
-        self.assertEqual(code, 1)
-        self.assertTrue(data["violations"])
+        self.assertEqual(code, 2)
+        self.assertIn("line 3", data["errors"][0])
 
     def test_analyze_rejects_bad_meta(self):
         p = str(Path(self.tmp.name) / "meta.txt")
@@ -687,6 +698,130 @@ class RenamedEdgeTests(unittest.TestCase):
         g = family_torus_link(n, tunnel=True, mirror=mirror)
         code, out, _ = self.analyze(renamed(g, dict(zip((e.id for e in g.edges), ids))))
         self.assertEqual(code, 2 if shared and n % 2 else 0, out)
+
+
+def _replaced(g: SpatialGraphCode, lineno: int, line: str) -> str:
+    """format_code(g) with its line number lineno replaced by line."""
+    lines = format_code(g).splitlines()
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+class MalformedCodeTests(unittest.TestCase):
+    """A code that is not a diagram exits 2 from every command that reads
+    it, and each names the same line, once."""
+
+    THETA = family_torus_link(3, tunnel=True)
+    HANDCUFF = family_torus_link(2, tunnel=True)
+    CASES = {  # name: (text, the line to name)
+        "theta vertex with two ends": (_replaced(THETA, 2, "vertex u ends ka.0 kb.1"), 2),
+        "handcuff vertex with two ends": (_replaced(HANDCUFF, 2, "vertex u ends a.0 a.1"), 2),
+        "lone pass": ("graph link\nedge k\npass k x1 over sign=+\n", 3),
+        "repeated vertex": (_replaced(HANDCUFF, 3, "vertex u ends b.0 b.1 t.1"), 3),
+        "unknown kind": (_replaced(HANDCUFF, 1, "graph foo"), 1),
+    }
+
+    def test_every_command_names_the_line(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "code.txt")
+            commands = {
+                "analyze": ["analyze", path],
+                "analyze json": ["analyze", path, "--format", "json"],
+                "loop": ["loop", path, "--vertex", "u", "--pair", "a,t"],
+                "linking": ["linking", path, "--components", "a,b"],
+                "linking json": ["linking", path, "--components", "a,b", "--format", "json"],
+            }
+            for name, (text, line) in self.CASES.items():
+                Path(path).write_text(text)
+                for command, argv in commands.items():
+                    code, out, err = run(argv)
+                    self.assertEqual(code, 2, (name, command, out, err))
+                    self.assertEqual(re.findall(r"line \d+:", out + err), [f"line {line}:"],
+                                     (name, command, out, err))
+
+
+SPINE = spatial.parse_code(resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text())
+
+
+@st.composite
+def diagram_codes(draw) -> SpatialGraphCode:
+    """A family code, one or two loopings of the spine, or a braid closure."""
+    source = draw(st.sampled_from(("family", "spine", "braid")))
+    if source == "family":
+        n = draw(st.integers(2, 7))
+        return draw(st.sampled_from((
+            family_torus_link(n), family_torus_link(n, tunnel=True),
+            family_torus_link(n, tunnel=True, mirror=True),
+            spatial.family_odd_ringed(2 * (n // 2) + 1, "one"),
+            spatial.family_odd_ringed(2 * (n // 2) + 1, "both"))))
+    if source == "spine":
+        g = SPINE
+        for _ in range(draw(st.integers(1, 2))):
+            v = draw(st.sampled_from(g.vertices))
+            pairs = [(p, q) for p, q in combinations(v.ends, 2) if p[0] != q[0]]
+            g = loop_at(g, v.id, draw(st.sampled_from(pairs)), mirror=draw(st.booleans()))
+        return g
+    strands = draw(st.integers(2, 3))
+    word = draw(st.lists(st.tuples(st.integers(1, strands - 1), st.sampled_from((1, -1))),
+                         min_size=1, max_size=6))
+    return closed_braid(word, strands)
+
+
+@st.composite
+def mutated_codes(draw) -> str:
+    """The text of a diagram code with one line mutated: deleted,
+    duplicated, its pass flipped between over and under, an end token
+    dropped or renamed, or its vertex renamed."""
+    lines = format_code(draw(diagram_codes())).splitlines()
+    starting = {d: [i for i, line in enumerate(lines) if line.startswith(d + " ")]
+                for d in ("vertex", "edge", "pass")}
+    ops = ["delete", "duplicate"]
+    if starting["pass"]:
+        ops.append("flip")
+    if starting["vertex"]:
+        ops += ["drop end", "rename end", "rename vertex"]
+    op = draw(st.sampled_from(ops))
+    if op == "delete":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif op == "duplicate":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines.insert(i, lines[i])
+    else:
+        i = draw(st.sampled_from(starting["pass" if op == "flip" else "vertex"]))
+        tokens = lines[i].split()
+        if op == "flip":
+            tokens[3] = "under" if tokens[3] == "over" else "over"
+        elif op == "rename vertex":
+            tokens[1] = draw(st.sampled_from([lines[j].split()[1] for j in starting["vertex"]]
+                                             + ["w9"]))
+        elif op == "drop end":
+            del tokens[draw(st.integers(3, len(tokens) - 1))]
+        else:
+            edge = draw(st.sampled_from([lines[j].split()[1] for j in starting["edge"]] + ["zz"]))
+            tokens[draw(st.integers(3, len(tokens) - 1))] = f"{edge}.{draw(st.sampled_from('01'))}"
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class MutatedCodeTests(unittest.TestCase):
+    """Input that is not a diagram has one outcome: parse_code raises at a
+    line of the text, and analyze exits 2 with it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutated_codes())
+    def test_parse_returns_a_valid_code_or_names_a_line(self, text):
+        try:
+            g = spatial.parse_code(text)
+        except diagram.StructureError as err:
+            self.assertIsNotNone(err.line, str(err))
+            self.assertTrue(1 <= err.line <= len(text.splitlines()), str(err))
+        else:
+            self.assertEqual(spatial.validate_code(g), [])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "code.txt")
+            Path(path).write_text(text)
+            code, _, err = run(["analyze", path])
+        self.assertIn(code, (0, 2), err)
 
 
 class AnalyzeOutputTests(unittest.TestCase):

@@ -237,6 +237,18 @@ def test_parse_reports_line_numbers():
     with pytest.raises(StructureError) as err:
         parse_diagram(text)
     assert "w" in str(err.value)
+    assert err.value.line == 2
+
+
+def test_parse_names_the_line_of_a_repeated_node():
+    with pytest.raises(StructureError) as err:
+        parse_diagram("node v hollow genus=2\nedge v v\nnode v solid\n")
+    assert str(err.value) == "line 3: duplicate node id"
+
+
+def test_parse_reads_nodes_declared_after_their_edges():
+    d = parse_diagram("edge v s\nnode v solid genus=2\nnode s solid\n")
+    assert d.edges == (("s", "v"),)
 
 
 def test_parse_rejects_unknown_directive():

@@ -9,6 +9,7 @@ from sympy import Matrix
 
 from h1_oracle import arc_h1
 
+from hkdiag.diagram import Violation
 from hkdiag.homology import LaurentPoly, subgroup_index
 from hkdiag.spatial import (
     ContradictionError,
@@ -830,6 +831,59 @@ def test_parse_rejects_garbage():
         parse_code("graph link\nedge k.bad\n")
     with pytest.raises(StructureError):
         parse_code("graph link\npass k x1 over sign=+\n")
+
+
+def _replaced(g, lineno, line):
+    """format_code(g) with its line number lineno replaced by line."""
+    lines = format_code(g).splitlines()
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_replaced(family_torus_link(3, tunnel=True), 2, "vertex u ends ka.0 kb.1"),
+     2, "vertex u has 2 ends, expected 3"),
+    ("graph link\nedge k\npass k x1 over sign=+\n",
+     3, "crossing x1 needs exactly one over and one under pass"),
+    (_replaced(family_torus_link(2), 6, "pass b x1 over sign=+"),
+     6, "crossing x1 needs exactly one over and one under pass"),
+    (_replaced(family_torus_link(2, tunnel=True), 3, "vertex u ends b.0 b.1 t.1"),
+     3, "duplicate vertex id"),
+    (_replaced(family_torus_link(2, tunnel=True), 6, "edge a from u to v"),
+     6, "duplicate edge id"),
+    (_replaced(family_torus_link(2, tunnel=True), 3, "vertex v ends b.0 b.1 t.0"),
+     3, "end t.0 claimed by two vertices"),
+    (_replaced(family_torus_link(2, tunnel=True), 6, "edge t from u to w"),
+     6, "edge t endpoint 'w' is not a vertex"),
+    (_replaced(family_torus_link(2, tunnel=True), 1, "graph foo"),
+     1, "unknown graph kind 'foo'"),
+    (_replaced(family_torus_link(2, tunnel=True), 1, "graph theta"),
+     1, "theta edge a must join the two vertices"),
+    ("edge k\npass k x1 over sign=+\npass k x1 under sign=+\n\n", 4, "missing graph line"),
+], ids=["arity", "lone-pass", "two-overs", "repeated-vertex", "repeated-edge", "shared-end",
+        "unknown-endpoint", "kind", "shape", "no-graph-line"])
+def test_parse_names_the_last_line_needed_to_see_the_defect(text, line, message):
+    with pytest.raises(StructureError) as err:
+        parse_code(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_violation_location_leaves_equality_and_text_alone():
+    lone = EdgeCode("k", None, None, (Pass("x1", "over"),))
+    located = validate_code(SpatialGraphCode("link", (), (lone,), (Crossing("x1", 1),)))
+    assert [v.where for v in located] == [(("crossing", "x1"),)]
+    bare = Violation("passes", "crossing x1 needs exactly one over and one under pass")
+    assert located == [bare]
+    assert str(located[0]) == str(bare) == f"[passes] {bare.message}"
+    assert hash(located[0]) == hash(bare)
+
+
+def test_unknown_kind_is_a_violation_of_a_hand_built_code():
+    g = SpatialGraphCode("moose", (), (), ())
+    assert validate_code(g) == [Violation("shape", "unknown graph kind 'moose'")]
+    with pytest.raises(StructureError, match="invalid code: \\[shape\\] unknown graph kind"):
+        constituent_links(g)
 
 
 @pytest.mark.parametrize("token", ["n=abc", "loopings=abc", "loopings=-1", "origin=nonsense",
