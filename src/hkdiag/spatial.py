@@ -205,6 +205,9 @@ def validate_code(g: SpatialGraphCode) -> list[Violation]:
                 flag("ends", f"end {e.id}.{side} is not listed at vertex {want}",
                      ("edge", e.id), ("vertex", want))
 
+    # Two closed curves in the plane cross an even number of times.
+    closed = {e.id for e in g.edges if e.is_circle or e.is_vertex_loop}
+    between: dict[tuple[str, str], list[str]] = {}
     uses = g.crossing_passes()
     for cid, entries in sorted(uses.items()):
         if cid not in known["crossing"]:
@@ -213,6 +216,14 @@ def validate_code(g: SpatialGraphCode) -> list[Violation]:
         if len(entries) != 2 or sorted(pos for _, _, pos in entries) != ["over", "under"]:
             flag("passes", f"crossing {cid} needs exactly one over and one under pass",
                  ("crossing", cid))
+            continue
+        (a, _, _), (b, _, _) = entries
+        if a != b and a in closed and b in closed:
+            between.setdefault((a, b) if a < b else (b, a), []).append(cid)
+    for (a, b), cids in sorted(between.items()):
+        if len(cids) % 2:
+            flag("passes", f"closed strands {a} and {b} cross an odd number of times",
+                 *(("crossing", cid) for cid in cids))
     for cid in sorted(known["crossing"] - set(uses)):
         flag("passes", f"crossing {cid} is never visited", ("crossing", cid))
 
@@ -262,8 +273,25 @@ def bridge_of(g: SpatialGraphCode) -> EdgeCode:
 # --- constituents and linking -------------------------------------------------
 
 
-def _reversed_passes(e: EdgeCode) -> tuple[Pass, ...]:
-    return tuple(reversed(e.passes))
+def _end_vertex(g: SpatialGraphCode, end: tuple[str, int]) -> str | None:
+    e = g.edge(end[0])
+    return e.head if end[1] else e.tail
+
+
+def _through_vertex(g: SpatialGraphCode, into: tuple[str, int], out: tuple[str, int],
+                    middle: tuple[Pass, ...] = ()) -> tuple[tuple[Pass, ...], set[str]]:
+    """The passes of a strand running in along edge-end `into`, through
+    `middle` and out along end `out`, and the edges it walks against their
+    direction: `into` unless it is a head end, `out` unless a tail end."""
+    legs: list[tuple[Pass, ...]] = []
+    flipped: set[str] = set()
+    for (eid, side), forward in ((into, 1), (out, 0)):
+        passes = g.edge(eid).passes
+        if side != forward:
+            passes = tuple(reversed(passes))
+            flipped.add(eid)
+        legs.append(passes)
+    return legs[0] + middle + legs[1], flipped
 
 
 def _effective_signs(g: SpatialGraphCode, flipped: set[str]) -> dict[str, int]:
@@ -337,12 +365,8 @@ def constituent_links(g: SpatialGraphCode) -> tuple[SpatialGraphCode, ...]:
     if g.kind == "theta":
         out = []
         for name, e1, e2, _ in _theta_constituents(g):
-            if e2.tail == e1.head:
-                passes = e1.passes + e2.passes
-                flipped: set[str] = set()
-            else:
-                passes = e1.passes + _reversed_passes(e2)
-                flipped = {e2.id}
+            leaving = (e2.id, 0 if e2.tail == e1.head else 1)
+            passes, flipped = _through_vertex(g, (e1.id, 1), leaving)
             signs = _effective_signs(g, flipped)
             out.append(_restrict(g, [(name, passes)], {e1.id, e2.id}, signs))
         return tuple(out)
@@ -353,7 +377,8 @@ def constituent_links(g: SpatialGraphCode) -> tuple[SpatialGraphCode, ...]:
 
 
 def linking_number(g: SpatialGraphCode, a: str, b: str) -> int:
-    """Exact linking number of two named circles of a link code."""
+    """Exact linking number of two named circles of a link code: half the
+    sum of the signs where they cross, which validate_code keeps even."""
     _require_valid(g)
     if g.kind != "link":
         raise StructureError("linking numbers are computed on link codes")
@@ -368,8 +393,6 @@ def linking_number(g: SpatialGraphCode, a: str, b: str) -> int:
         owners = sorted(eid for eid, _, _ in entries)
         if owners == sorted((a, b)):
             total += g.sign(cid)
-    if total % 2:
-        raise StructureError("inter-component crossing signs do not pair up; not a diagram code")
     return total // 2
 
 
@@ -429,12 +452,12 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
             kind: str = "plain", mirror: bool = False) -> SpatialGraphCode:
     """Loop the graph at a vertex, splicing the two given edge-ends.
 
-    The vertex disappears: the two chosen strands are joined smoothly, and
-    the third strand now terminates in a small ring encircling the joined
-    strand where the vertex used to be. Looping a theta-curve or a handcuff
-    graph always yields a handcuff graph. The splice that would set a
-    handcuff loop free (pairing the loop's own two ends) disconnects the
-    graph and is rejected.
+    The vertex disappears. One strand runs in along end p, through two
+    crossings with a new ring, and out along end q to q's far vertex; the
+    third end r moves to the ring's vertex. The one special case: when q's
+    far end is r (q is a vertex loop), the strand closes at the ring vertex
+    in r's place. The result is always a handcuff graph. Pairing a handcuff
+    loop's own two ends would set the loop free and is rejected.
 
     kind records the looping's relation to a designated tunnel ("tunnel",
     "knot" or "plain"); it only affects provenance. mirror reverses the
@@ -453,8 +476,8 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
     if p[0] == q[0]:
         raise ContradictionError("splicing a loop's two ends onto each other disconnects the graph")
     if p[0] == r[0]:
-        # Make sure the edge sharing its other end with the remainder comes
-        # second, so the merged strand finishes at the ring vertex.
+        # A vertex loop through r goes second, so the strand starts away
+        # from the vertex.
         p, q = q, p
 
     w_id = _fresh("w", {w.id for w in g.vertices})
@@ -472,57 +495,27 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
         strand_insert = (Pass(x1, "under"), Pass(x2, "over"))
         ring_sign = 1
 
-    edge_p, edge_q, edge_r = g.edge(p[0]), g.edge(q[0]), g.edge(r[0])
-    flipped: set[str] = set()
+    passes, flipped = _through_vertex(g, p, q, strand_insert)
+    far_p, far_q = (p[0], 1 - p[1]), (q[0], 1 - q[1])
+    finish = w_id if far_q == r else _end_vertex(g, far_q)
+    merged = EdgeCode(f"{p[0]}+{q[0]}", _end_vertex(g, far_p), finish, passes)
+    end_map = {far_p: (merged.id, 0), far_q: (merged.id, 1)}
 
-    # First leg: edge(p) oriented into the vertex.
-    if p[1] == 1:
-        part1, start = edge_p.passes, edge_p.tail
-    else:
-        part1, start = _reversed_passes(edge_p), edge_p.head
-        flipped.add(edge_p.id)
-
-    theta_case = r[0] != q[0]
-    if theta_case:
-        # Second leg: edge(q) oriented out of the vertex; the remaining edge
-        # is re-ended onto the new ring vertex.
-        if q[1] == 0:
-            part2, finish = edge_q.passes, edge_q.head
-        else:
-            part2, finish = _reversed_passes(edge_q), edge_q.tail
-            flipped.add(edge_q.id)
-        merged = EdgeCode(f"{edge_p.id}+{edge_q.id}", start, finish,
-                          part1 + strand_insert + part2)
-        third = replace(edge_r, tail=w_id) if r[1] == 0 else replace(edge_r, head=w_id)
-        new_edges = [merged, third]
-        end_map = {
-            (edge_p.id, 1 - p[1]): (merged.id, 0),
-            (edge_q.id, 1 - q[1]): (merged.id, 1),
-        }
-        w_ends = ((edge_r.id, r[1]), (ring_id, 0), (ring_id, 1))
-    else:
-        # edge(q) is a vertex loop whose far end is the remainder: the
-        # strand continues around the loop and finishes at the ring vertex.
-        if q[1] == 0:
-            part2 = edge_q.passes
-        else:
-            part2 = _reversed_passes(edge_q)
-            flipped.add(edge_q.id)
-        merged = EdgeCode(f"{edge_p.id}+{edge_q.id}", start, w_id,
-                          part1 + strand_insert + part2)
-        untouched = [e for e in g.edges if e.id not in (edge_p.id, edge_q.id)]
-        new_edges = [merged] + untouched
-        end_map = {(edge_p.id, 1 - p[1]): (merged.id, 0)}
-        w_ends = ((merged.id, 1), (ring_id, 0), (ring_id, 1))
-
-    ring = EdgeCode(ring_id, w_id, w_id, ring_passes)
-    new_edges.append(ring)
+    new_edges = [merged]
+    for e in g.edges:
+        if e.id in (p[0], q[0]):
+            continue
+        if e.id == r[0]:
+            e = replace(e, tail=w_id) if r[1] == 0 else replace(e, head=w_id)
+        new_edges.append(e)
+    new_edges.append(EdgeCode(ring_id, w_id, w_id, ring_passes))
 
     new_vertices = [
         VertexCode(w.id, tuple(end_map.get(end, end) for end in w.ends))
         for w in g.vertices if w.id != vertex_id
     ]
-    new_vertices.append(VertexCode(w_id, w_ends))
+    # r is in end_map only as q's far end, where the strand closes.
+    new_vertices.append(VertexCode(w_id, (end_map.get(r, r), (ring_id, 0), (ring_id, 1))))
 
     signs = _effective_signs(g, flipped)
     crossings = tuple(Crossing(cid, s) for cid, s in sorted(signs.items()))
@@ -608,9 +601,6 @@ class FactSet:
 
     def entries(self) -> list[FactEntry]:
         return [self._facts[k] for k in sorted(self._facts)]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._facts
 
 
 _CLASS_DESCRIPTIONS = {
@@ -955,6 +945,10 @@ def closed_braid(word, strands: int) -> SpatialGraphCode:
     return SpatialGraphCode("link", (), edges, tuple(crossings))
 
 
+# Far beyond any n the invariants are computed at; a larger n is a typo.
+_MAX_FAMILY_N = 100_000
+
+
 def family_torus_link(n: int, tunnel: bool = False, mirror: bool = False) -> SpatialGraphCode:
     """The closed 2-braid with n positive crossings, optionally with tunnel.
 
@@ -964,8 +958,8 @@ def family_torus_link(n: int, tunnel: bool = False, mirror: bool = False) -> Spa
     constituent is the closed braid and whose other two constituents are
     trivial.
     """
-    if n < 2:
-        raise StructureError("the closed 2-braid family starts at n = 2")
+    if not 2 <= n <= _MAX_FAMILY_N:
+        raise StructureError(f"the closed 2-braid family runs from n = 2 to {_MAX_FAMILY_N}")
     base = closed_braid([(1, 1)] * n, 2)
     prov = Provenance(origin="family", family="torus-link", n=n,
                       variant="tunnel" if tunnel else "closed")
@@ -1004,8 +998,8 @@ def family_odd_ringed(n: int, ring: str = "one", mirror: bool = False) -> Spatia
     result is a handcuff graph over a non-split link whose bridge is a
     tunnel.
     """
-    if n < 3 or n % 2 == 0:
-        raise StructureError("the ringed family needs odd n >= 3")
+    if not 3 <= n <= _MAX_FAMILY_N or n % 2 == 0:
+        raise StructureError(f"the ringed family needs odd n from 3 to {_MAX_FAMILY_N}")
     if ring not in ("one", "both"):
         raise StructureError('ring must be "one" or "both"')
     base = closed_braid([(1, 1)] * n, 2)
@@ -1118,8 +1112,10 @@ def parse_code(text: str) -> SpatialGraphCode:
         tokens = line.split()
         directive = tokens[0]
         if directive == "graph":
-            if kind is not None or len(tokens) != 2:
-                raise StructureError("exactly one graph line must come first", lineno)
+            if kind is not None:
+                raise StructureError("second graph line", lineno)
+            if len(tokens) != 2:
+                raise StructureError("graph line needs: graph <kind>", lineno)
             kind, graph_line = tokens[1], lineno
         elif directive == "vertex":
             if len(tokens) < 3 or tokens[2] != "ends":

@@ -320,6 +320,13 @@ class BuilderTests(unittest.TestCase):
         code, _, _ = run(["family", "torus-link", "--n", "1"])
         self.assertEqual(code, 2)
 
+    def test_family_rejects_huge_n(self):
+        for name in ("torus-link", "odd-ringed"):
+            for n in ("100001", "100000000000000000001"):
+                code, _, err = run(["family", name, "--n", n])
+                self.assertEqual(code, 2, (name, n))
+                self.assertIn("to 100000", err)
+
     def test_bundled_spine(self):
         from hkdiag.spatial import constituent_links, parse_code
         from hkdiag.wirtinger import alexander_polynomial
@@ -534,9 +541,11 @@ class AnalyzeTests(unittest.TestCase):
                            "pass a x1 over sign=+\npass b x1 under sign=+\n")
         code, data, _ = self.analyze_json(p)
         self.assertEqual(code, 2)
-        self.assertIn("odd.txt: inter-component crossing signs", data["errors"][0])
-        code, _, _ = run(["linking", p, "--components", "a,b"])
+        self.assertIn("odd.txt: line 5: closed strands a and b cross an odd number of times",
+                      data["errors"][0])
+        code, out, err = run(["linking", p, "--components", "a,b"])
         self.assertEqual(code, 2)
+        self.assertIn("odd.txt: line 5: closed strands a and b", out + err)
 
     def test_analyze_lists_every_pair_of_link_components(self):
         p = str(Path(self.tmp.name) / "three.txt")
@@ -719,6 +728,12 @@ class MalformedCodeTests(unittest.TestCase):
         "lone pass": ("graph link\nedge k\npass k x1 over sign=+\n", 3),
         "repeated vertex": (_replaced(HANDCUFF, 3, "vertex u ends b.0 b.1 t.1"), 3),
         "unknown kind": (_replaced(HANDCUFF, 1, "graph foo"), 1),
+        "link crossing once": ("graph link\nedge a\nedge b\n"
+                               "pass a x1 over sign=+\npass b x1 under sign=+\n", 5),
+        "handcuff loops crossing once": (
+            "graph handcuff\nvertex u ends a.0 a.1 t.0\nvertex v ends b.0 b.1 t.1\n"
+            "edge a loop from u to u\nedge b loop from v to v\nedge t from u to v\n"
+            "pass a x1 over sign=+\npass b x1 under sign=+\n", 8),
     }
 
     def test_every_command_names_the_line(self):

@@ -4,10 +4,11 @@ import itertools
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 from sympy import Matrix
 
 from h1_oracle import arc_h1
+from loop_oracle import two_branch_loop_at
 
 from hkdiag.diagram import Violation
 from hkdiag.homology import LaurentPoly, subgroup_index
@@ -168,6 +169,8 @@ def test_torus_family_shapes():
     assert family_torus_link(3, tunnel=True).kind == "theta"
     with pytest.raises(StructureError):
         family_torus_link(1)
+    with pytest.raises(StructureError, match="from n = 2 to 100000"):
+        family_torus_link(10**20)
 
 
 def test_torus_family_tunnel_is_crossing_free():
@@ -225,6 +228,8 @@ def test_odd_ringed_rejects_bad_n():
         family_odd_ringed(4)
     with pytest.raises(StructureError):
         family_odd_ringed(1)
+    with pytest.raises(StructureError, match="from 3 to 100000"):
+        family_odd_ringed(100_001)
     with pytest.raises(StructureError):
         family_odd_ringed(3, "neither")
 
@@ -333,6 +338,38 @@ def test_looping_kind_designation():
     assert looping_kind(g, (ka0, kb1), None) == "plain"
     h = family_torus_link(2, tunnel=True)
     assert looping_kind(h, (("a", 0), ("t", 0)), "t") == "plain"
+
+
+LOOPING_SOURCES = (
+    *(family_torus_link(n, tunnel=True, mirror=m) for n in (2, 3, 4, 5) for m in (False, True)),
+    family_odd_ringed(3, "one"),
+    family_odd_ringed(3, "both", mirror=True),
+    parse_code(resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()),
+)
+
+
+@seed(20291)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LOOPING_SOURCES), st.data())
+def test_loop_at_matches_the_two_branch_oracle(g, data):
+    """1-4 loopings at random ends, of every kind and handedness: loop_at
+    writes the code the two-branch rewrite writes, or raises what it raises."""
+    for _ in range(data.draw(st.integers(1, 4))):
+        v = data.draw(st.sampled_from(g.vertices))
+        pair = (data.draw(st.sampled_from(v.ends)), data.draw(st.sampled_from(v.ends)))
+        args = (g, v.id, pair, data.draw(st.sampled_from(("plain", "tunnel", "knot"))),
+                data.draw(st.booleans()))
+        try:
+            expected = format_code(two_branch_loop_at(*args))
+        except (StructureError, ContradictionError) as err:
+            expected = type(err)
+        try:
+            looped = loop_at(*args)
+        except (StructureError, ContradictionError) as err:
+            assert type(err) is expected
+        else:
+            assert format_code(looped) == expected
+            g = looped
 
 
 # --- homology of complements ---------------------------------------------------------
@@ -860,8 +897,13 @@ def _replaced(g, lineno, line):
     (_replaced(family_torus_link(2, tunnel=True), 1, "graph theta"),
      1, "theta edge a must join the two vertices"),
     ("edge k\npass k x1 over sign=+\npass k x1 under sign=+\n\n", 4, "missing graph line"),
+    ("graph link\nedge k\ngraph link\n", 3, "second graph line"),
+    ("graph link extra\nedge k\n", 1, "graph line needs: graph <kind>"),
+    (_replaced(family_torus_link(4), 7, "pass b x4 under sign=+"),
+     10, "closed strands a and b cross an odd number of times"),
 ], ids=["arity", "lone-pass", "two-overs", "repeated-vertex", "repeated-edge", "shared-end",
-        "unknown-endpoint", "kind", "shape", "no-graph-line"])
+        "unknown-endpoint", "kind", "shape", "no-graph-line", "second-graph-line",
+        "graph-tokens", "odd-crossings"])
 def test_parse_names_the_last_line_needed_to_see_the_defect(text, line, message):
     with pytest.raises(StructureError) as err:
         parse_code(text)
@@ -901,6 +943,29 @@ def test_validate_catches_unpaired_crossing():
         (Crossing("x1", 1),),
     )
     assert any(v.code == "passes" for v in validate_code(g))
+
+
+def _handcuff_crossing_once(bridge_crosses):
+    """A handcuff with one crossing: between its loops, or between its
+    bridge and loop a."""
+    other = "t" if bridge_crosses else "b"
+    return SpatialGraphCode(
+        "handcuff",
+        (VertexCode("u", (("a", 0), ("a", 1), ("t", 0))),
+         VertexCode("v", (("b", 0), ("b", 1), ("t", 1)))),
+        tuple(EdgeCode(e, tail, head, (Pass("x1", pos),) if e in ("a", other) else ())
+              for e, tail, head, pos in (("a", "u", "u", "over"), ("b", "v", "v", "under"),
+                                         ("t", "u", "v", "under"))),
+        (Crossing("x1", 1),),
+    )
+
+
+def test_validate_catches_closed_strands_crossing_oddly():
+    located = validate_code(_handcuff_crossing_once(bridge_crosses=False))
+    assert located == [Violation("passes", "closed strands a and b cross an odd number of times")]
+    assert located[0].where == (("crossing", "x1"),)
+    # an arc may end inside a loop, so the bridge may cross it once
+    assert validate_code(_handcuff_crossing_once(bridge_crosses=True)) == []
 
 
 def test_validate_catches_bad_shape():
