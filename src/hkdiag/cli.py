@@ -7,11 +7,15 @@ are 0 for success, 1 for rule violations or contradicted assertions, 2 for
 malformed input, and 3 for an internal error, which prints its traceback.
 A graph code with a structural defect is malformed input: every command exits
 2 with its line; analyze's JSON keeps an always-empty "violations" key.
+
+main(argv) may be called repeatedly in one process: it builds its argument
+parser on the first call and reuses it for every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -455,6 +459,7 @@ def _analyze(report: _FileReport, path: str, assertions: tuple[str, ...]) -> Non
 # --- parser -----------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hkdiag",

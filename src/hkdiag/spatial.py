@@ -150,7 +150,10 @@ class SpatialGraphCode:
         return self._edges_by_id[edge_id]
 
     def vertex(self, vertex_id: str) -> VertexCode:
-        return self._vertices_by_id[vertex_id]
+        try:
+            return self._vertices_by_id[vertex_id]
+        except KeyError:
+            raise StructureError(f"no vertex named {vertex_id!r}") from None
 
     def sign(self, crossing_id: str) -> int:
         return self._signs[crossing_id]
@@ -426,10 +429,7 @@ def _fresh(prefix: str, taken: set[str]) -> str:
 
 def resolve_end(g: SpatialGraphCode, vertex_id: str, token: str) -> tuple[str, int]:
     """Turn "edge" or "edge.0" / "edge.1" into an end at the given vertex."""
-    try:
-        v = g.vertex(vertex_id)
-    except KeyError:
-        raise StructureError(f"no vertex named {vertex_id!r}") from None
+    v = g.vertex(vertex_id)
     if "." in token:
         eid, _, side = token.rpartition(".")
         if side not in ("0", "1"):

@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import io
 import json
 import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
 import unittest
 from contextlib import ExitStack, redirect_stderr, redirect_stdout
@@ -365,8 +368,9 @@ class BuilderTests(unittest.TestCase):
         run(["family", "torus-link", "--n", "2", "--tunnel", "-o", src])
         code, _, _ = run(["loop", src, "--vertex", "u", "--pair", "a.0"])
         self.assertEqual(code, 2)
-        code, _, _ = run(["loop", src, "--vertex", "zz", "--pair", "a.0,t"])
+        code, _, err = run(["loop", src, "--vertex", "zz", "--pair", "a.0,t"])
         self.assertEqual(code, 2)
+        self.assertEqual(err, "error: no vertex named 'zz'\n")
 
 
 class LinkingTests(unittest.TestCase):
@@ -900,6 +904,94 @@ class AnalyzeOutputTests(unittest.TestCase):
         for name, (code, digest) in self.digests().items():
             self.assertEqual(code, 0, name)
             self.assertEqual(digest, self.OUTPUT_SHA256[name], name)
+
+
+class ParserReuseTests(unittest.TestCase):
+    """main builds its parser on the first call of a process and reuses it;
+    nothing one call parses reaches the next."""
+
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+        self.theta = str(Path(self.tmp.name) / "theta.txt")
+        run(["family", "torus-link", "--n", "3", "--tunnel", "-o", self.theta])
+
+    def test_calls_leak_nothing_into_later_calls(self):
+        plain = run(["analyze", self.theta])
+        self.assertEqual(plain[0], 0)
+        asserted = run(["analyze", self.theta, "--assert", "atoroidal=true",
+                        "--assert", "planar=false", "--assert", "tunnel=t"])
+        self.assertEqual(asserted[0], 0)
+        self.assertIn("[asserted] tunnel = t", asserted[1])
+        with self.assertRaises(SystemExit) as exit_, redirect_stderr(io.StringIO()):
+            main(["validate"])
+        self.assertEqual(exit_.exception.code, 2)
+        looped = str(Path(self.tmp.name) / "looped.txt")
+        self.assertEqual(run(["loop", self.theta, "--vertex", "u", "--pair", "ka,kb",
+                              "-o", looped])[0], 0)
+        self.assertEqual(run(["analyze", self.theta]), plain)
+
+    def test_eight_subcommands_build_one_parser(self):
+        annulus = Path(self.tmp.name) / "h1.txt"
+        annulus.write_text(H1_DIAGRAM)
+        handcuff = str(Path(self.tmp.name) / "handcuff.txt")
+        run(["family", "torus-link", "--n", "2", "--tunnel", "-o", handcuff])
+        argvs = (
+            ["enumerate"],
+            ["validate", str(annulus)],
+            ["classify", str(annulus)],
+            ["symmetry", str(annulus)],
+            ["loop", self.theta, "--vertex", "u", "--pair", "ka,kb"],
+            ["family", "spine-5-2"],
+            ["linking", handcuff, "--components", "a,b"],
+            ["analyze", self.theta],
+        )
+        added = []
+        original = argparse.ArgumentParser.add_argument
+
+        def add_argument(parser, *args, **kwargs):
+            added.append(args)
+            return original(parser, *args, **kwargs)
+
+        with mock.patch.object(argparse.ArgumentParser, "add_argument", add_argument):
+            cli._build_parser.__wrapped__()
+            one_build = len(added)
+            cli._build_parser.cache_clear()
+            for argv in argvs:
+                self.assertEqual(run(argv)[0], 0, argv)
+        self.assertEqual(cli._build_parser.cache_info().misses, 1)
+        self.assertEqual(len(added), 2 * one_build)
+
+
+class OneShotTests(unittest.TestCase):
+    """A fresh process builds the parser only when it runs a command, and
+    prints what an in-process call prints."""
+
+    @staticmethod
+    def python(*args: str) -> subprocess.CompletedProcess:
+        src = str(Path(hkdiag.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), check=True)
+
+    def test_import_builds_no_parser(self):
+        out = self.python("-c", (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import hkdiag.cli\n"
+            "print(len(built))\n"
+        )).stdout
+        self.assertEqual(out, "0\n")
+
+    def test_one_shot_output_matches_in_process(self):
+        out = self.python("-m", "hkdiag.cli", "enumerate", "--labels", "--format", "json").stdout
+        self.assertEqual(hashlib.sha256(out.encode()).hexdigest(),
+                         OncePerProcessTests.OUTPUT_SHA256["enumerate --labels json"])
 
 
 class DataOverrideTests(unittest.TestCase):

@@ -320,6 +320,14 @@ def test_loop_rejects_wrong_inputs():
         loop_at(closed_braid(braid(1, 1), 2), "u", (end, end))
 
 
+def test_loop_at_unknown_vertex_is_a_structure_error():
+    g = family_torus_link(3, tunnel=True)
+    with pytest.raises(StructureError, match="^no vertex named 'zz'$"):
+        loop_at(g, "zz", (("ka", 0), ("kb", 1)))
+    with pytest.raises(StructureError, match="^no vertex named 'zz'$"):
+        resolve_end(g, "zz", "ka")
+
+
 def test_resolve_end():
     g = family_torus_link(2, tunnel=True)
     assert resolve_end(g, "u", "t") == ("t", 0)
