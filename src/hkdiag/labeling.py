@@ -283,10 +283,6 @@ class GroupBound(Enum):
         """Whether a group named "1", "Z2" or "Z2xZ2" satisfies the bound."""
         return group in _ALLOWED[self]
 
-    @property
-    def is_exact(self) -> bool:
-        return len(_ALLOWED[self]) == 1
-
 
 # The groups each bound allows, smallest first; the widest bound lists them all.
 _ALLOWED = {

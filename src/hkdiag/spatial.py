@@ -29,6 +29,7 @@ from .diagram import CharDiagram, Node, NodeKind, StructureError, Violation
 from .labeling import AnnulusDiagram, EdgeLabel
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_+-]+$")
+_SIGNS = {"sign=+": 1, "sign=-": -1}
 
 
 class ContradictionError(ValueError):
@@ -135,11 +136,13 @@ class SpatialGraphCode:
 
     @cached_property
     def _passes(self) -> Mapping[str, tuple[tuple[str, int, str], ...]]:
-        out: dict[str, list[tuple[str, int, str]]] = {}
+        out: dict = {}
         for e in self.edges:
             for i, p in enumerate(e.passes):
                 out.setdefault(p.crossing, []).append((e.id, i, p.position))
-        return MappingProxyType({cid: tuple(entries) for cid, entries in out.items()})
+        for cid, entries in out.items():  # in place: no second dict
+            out[cid] = tuple(entries)
+        return MappingProxyType(out)
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -147,7 +150,10 @@ class SpatialGraphCode:
         return tuple(validate_code(self))
 
     def edge(self, edge_id: str) -> EdgeCode:
-        return self._edges_by_id[edge_id]
+        try:
+            return self._edges_by_id[edge_id]
+        except KeyError:
+            raise StructureError(f"no edge named {edge_id!r}") from None
 
     def vertex(self, vertex_id: str) -> VertexCode:
         try:
@@ -216,7 +222,7 @@ def validate_code(g: SpatialGraphCode) -> list[Violation]:
         if cid not in known["crossing"]:
             flag("passes", f"pass references undeclared crossing {cid}", ("crossing", cid))
             continue
-        if len(entries) != 2 or sorted(pos for _, _, pos in entries) != ["over", "under"]:
+        if len(entries) != 2 or entries[0][2] == entries[1][2]:
             flag("passes", f"crossing {cid} needs exactly one over and one under pass",
                  ("crossing", cid))
             continue
@@ -298,37 +304,35 @@ def _through_vertex(g: SpatialGraphCode, into: tuple[str, int], out: tuple[str, 
 
 
 def _effective_signs(g: SpatialGraphCode, flipped: set[str]) -> dict[str, int]:
-    """Crossing signs after reversing the given edges.
+    """Crossing signs of a valid code after reversing the given edges.
 
     Reversing exactly one of a crossing's two strands flips its sign;
     reversing both, or a self-crossing of a reversed edge, preserves it.
     """
-    uses = g.crossing_passes()
-    out: dict[str, int] = {}
-    for c in g.crossings:
-        owners = [eid for eid, _, _ in uses.get(c.id, [])]
-        if len(owners) == 2 and ((owners[0] in flipped) != (owners[1] in flipped)):
-            out[c.id] = -c.sign
-        else:
-            out[c.id] = c.sign
+    uses, out = g.crossing_passes(), dict(g._signs)
+    for eid in flipped:
+        for p in g.edge(eid).passes:
+            (a, _, _), (b, _, _) = uses[p.crossing]
+            if (a in flipped) != (b in flipped):
+                out[p.crossing] = -g._signs[p.crossing]
     return out
 
 
 def _restrict(g: SpatialGraphCode, circles: list[tuple[str, tuple[Pass, ...]]],
               keep: set[str], signs: dict[str, int]) -> SpatialGraphCode:
-    """Build a link code from assembled circles, dropping every crossing
-    that involves a removed edge."""
-    uses = g.crossing_passes()
-    surviving = {
-        cid for cid, entries in uses.items()
-        if all(eid in keep for eid, _, _ in entries)
-    }
+    """Build a link code from assembled circles of a valid code, dropping
+    every crossing that involves a removed edge."""
+    surviving = {cid for cid, ((a, _, _), (b, _, _)) in g.crossing_passes().items()
+                 if a in keep and b in keep}
     edges = tuple(
         EdgeCode(name, None, None, tuple(p for p in passes if p.crossing in surviving))
         for name, passes in circles
     )
     crossings = tuple(Crossing(cid, signs[cid]) for cid in sorted(surviving))
-    return SpatialGraphCode("link", (), edges, crossings)
+    link = SpatialGraphCode("link", (), edges, crossings)
+    # Valid as g is: only crossings whose two passes both survive are kept.
+    vars(link)["violations"] = ()
+    return link
 
 
 def _theta_constituents(g: SpatialGraphCode) -> list[tuple[str, EdgeCode, EdgeCode, EdgeCode]]:
@@ -370,13 +374,10 @@ def constituent_links(g: SpatialGraphCode) -> tuple[SpatialGraphCode, ...]:
         for name, e1, e2, _ in _theta_constituents(g):
             leaving = (e2.id, 0 if e2.tail == e1.head else 1)
             passes, flipped = _through_vertex(g, (e1.id, 1), leaving)
-            signs = _effective_signs(g, flipped)
-            out.append(_restrict(g, [(name, passes)], {e1.id, e2.id}, signs))
+            out.append(_restrict(g, [(name, passes)], {e1.id, e2.id}, _effective_signs(g, flipped)))
         return tuple(out)
     loops = sorted((e for e in g.edges if e.is_vertex_loop), key=lambda e: e.id)
-    keep = {e.id for e in loops}
-    signs = _effective_signs(g, set())
-    return (_restrict(g, [(e.id, e.passes) for e in loops], keep, signs),)
+    return (_restrict(g, [(e.id, e.passes) for e in loops], {e.id for e in loops}, g._signs),)
 
 
 def linking_number(g: SpatialGraphCode, a: str, b: str) -> int:
@@ -387,15 +388,13 @@ def linking_number(g: SpatialGraphCode, a: str, b: str) -> int:
         raise StructureError("linking numbers are computed on link codes")
     if a == b:
         raise StructureError("linking number needs two distinct components")
-    names = {e.id for e in g.edges}
     for name in (a, b):
-        if name not in names:
+        if name not in g._edges_by_id:
             raise StructureError(f"no component named {name!r}")
     total = 0
-    for cid, entries in g.crossing_passes().items():
-        owners = sorted(eid for eid, _, _ in entries)
-        if owners == sorted((a, b)):
-            total += g.sign(cid)
+    for cid, ((x, _, _), (y, _, _)) in g.crossing_passes().items():
+        if (x, y) == (a, b) or (x, y) == (b, a):
+            total += g._signs[cid]
     return total // 2
 
 
@@ -565,7 +564,7 @@ def looping_kind(g: SpatialGraphCode, pair: tuple[tuple[str, int], tuple[str, in
 class FactEntry:
     key: str
     value: bool | str
-    provenance: str  # "asserted" | "computed" | "rule"
+    provenance: str  # "asserted" | "computed"
 
 
 class FactSet:
@@ -582,7 +581,7 @@ class FactSet:
         self._facts: dict[str, FactEntry] = {}
 
     def set(self, key: str, value: bool | str, provenance: str = "asserted") -> None:
-        if provenance not in ("asserted", "computed", "rule"):
+        if provenance not in ("asserted", "computed"):
             raise ValueError(f"unknown provenance {provenance!r}")
         old = self._facts.get(key)
         if old is not None:
@@ -1048,9 +1047,7 @@ def _prov_items(pv: Provenance) -> list[tuple[str, str]]:
     out = []
     for key, attr in _PROV_KEYS:
         value = getattr(pv, attr)
-        if value is None:
-            continue
-        if attr == "loopings" and value == 0:
+        if value is None or (attr == "loopings" and value == 0):
             continue
         if attr == "mirror":
             if not value:
@@ -1073,9 +1070,10 @@ def format_code(g: SpatialGraphCode) -> str:
             lines.append(f"edge {e.id} loop from {e.tail} to {e.head}")
         else:
             lines.append(f"edge {e.id} from {e.tail} to {e.head}")
+    signs = g._signs
     for e in g.edges:
         for p in e.passes:
-            sign = "+" if g.sign(p.crossing) == 1 else "-"
+            sign = "+" if signs[p.crossing] == 1 else "-"
             lines.append(f"pass {e.id} {p.crossing} {p.position} sign={sign}")
     if g.provenance is not None:
         lines.append("meta " + " ".join(f"{k}={v}" for k, v in _prov_items(g.provenance)))
@@ -1105,11 +1103,12 @@ def parse_code(text: str) -> SpatialGraphCode:
     meta_lines: dict[str, int] = {}
     lines: dict[str, dict[str, int]] = {"vertex": {}, "edge": {}, "crossing": {}}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         directive = tokens[0]
         if directive == "graph":
             if kind is not None:
@@ -1144,18 +1143,19 @@ def parse_code(text: str) -> SpatialGraphCode:
             passes[name] = []
             edge_reads.append((name, tail, head, passes[name]))
         elif directive == "pass":
-            if len(tokens) != 5 or not tokens[4].startswith("sign="):
+            sign = _SIGNS.get(tokens[-1])
+            if len(tokens) != 5 or sign is None and not tokens[4].startswith("sign="):
                 raise StructureError(
                     "pass line needs: pass <edge> <crossing> over|under sign=+|-", lineno)
-            name, cid, position = tokens[1], _check_id(tokens[2], lineno), tokens[3]
+            _, name, cid, position, sign_token = tokens
+            if cid not in signs:  # not checked on an earlier line
+                _check_id(cid, lineno)
             if name not in passes:
                 raise StructureError(f"pass for undeclared edge {name!r}", lineno)
             if position not in ("over", "under"):
                 raise StructureError(f"bad pass position {position!r}", lineno)
-            sign_token = tokens[4][len("sign="):]
-            if sign_token not in ("+", "-"):
-                raise StructureError(f"bad sign {sign_token!r}", lineno)
-            sign = 1 if sign_token == "+" else -1
+            if sign is None:
+                raise StructureError(f"bad sign {sign_token[len('sign='):]!r}", lineno)
             if signs.setdefault(cid, sign) != sign:
                 raise StructureError(f"crossing {cid} has conflicting signs", lineno)
             passes[name].append(Pass(cid, position))

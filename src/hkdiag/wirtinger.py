@@ -136,10 +136,7 @@ def _check_walk(g: SpatialGraphCode, steps: tuple[tuple[str, int], ...]) -> None
     for eid, direction in steps:
         if direction not in (1, -1):
             raise StructureError("walk directions must be +1 or -1")
-        try:
-            e = g.edge(eid)
-        except KeyError:
-            raise StructureError(f"no edge named {eid!r}") from None
+        e = g.edge(eid)
         if e.is_circle:
             raise StructureError("walks follow graph edges, not circles")
         s, t = (e.tail, e.head) if direction == 1 else (e.head, e.tail)

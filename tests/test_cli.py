@@ -592,8 +592,8 @@ class AnalyzeTests(unittest.TestCase):
                                        resolve_end(looped, "v", "t+a")))
         unlinked = str(Path(self.tmp.name) / "double.txt")
         Path(unlinked).write_text(format_code(double))
-        # the handcuff and its constituent link
-        handcuff_counts = {"validate": 2, "alexander_polynomial": 2, "linking_number": 1,
+        # the handcuff only: its constituent link comes back already validated
+        handcuff_counts = {"validate": 1, "alexander_polynomial": 2, "linking_number": 1,
                            "constituent_links": 1}
         expected = {
             theta: {"validate": 1, "alexander_polynomial": 3, "linking_number": 0,

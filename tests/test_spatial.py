@@ -2,6 +2,7 @@
 
 import itertools
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -9,7 +10,9 @@ from sympy import Matrix
 
 from h1_oracle import arc_h1
 from loop_oracle import two_branch_loop_at
+from parse_oracle import token_by_token_parse_code
 
+from hkdiag import wirtinger
 from hkdiag.diagram import Violation
 from hkdiag.homology import LaurentPoly, subgroup_index
 from hkdiag.spatial import (
@@ -1002,3 +1005,172 @@ def test_validate_catches_shared_constituent_names():
     with pytest.raises(StructureError) as err:
         parse_code(format_code(g))
     assert err.value.line == 6
+
+
+# --- derived codes and the text path ---------------------------------------------------
+
+
+@st.composite
+def family_codes(draw):
+    """T(2,n) closed and tunnel codes and odd-ringed codes, plain or mirrored."""
+    mirror = draw(st.booleans())
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=30))
+        return family_torus_link(n, tunnel=draw(st.booleans()), mirror=mirror)
+    n = draw(st.sampled_from((3, 5, 7, 9)))
+    return family_odd_ringed(n, draw(st.sampled_from(("one", "both"))), mirror=mirror)
+
+
+@st.composite
+def braid_graphs(draw):
+    """A braid closure; a knot is cut into a theta-curve at a random pass
+    and a 2-component link joined into a handcuff by a crossing-free bridge."""
+    g = draw(braid_closures())
+    t = EdgeCode("t", "u", "v", ())
+    if len(g.edges) == 1:
+        passes = g.edges[0].passes
+        i = draw(st.integers(min_value=0, max_value=len(passes)))
+        edges = (EdgeCode("ka", "u", "v", passes[:i]), EdgeCode("kb", "v", "u", passes[i:]), t)
+        vertices = (VertexCode("u", (("ka", 0), ("kb", 1), ("t", 0))),
+                    VertexCode("v", (("ka", 1), ("kb", 0), ("t", 1))))
+        return SpatialGraphCode("theta", vertices, edges, g.crossings)
+    if len(g.edges) == 2:
+        a, b = g.edges
+        edges = (EdgeCode("a", "u", "u", a.passes), EdgeCode("b", "v", "v", b.passes), t)
+        vertices = (VertexCode("u", (("a", 0), ("a", 1), ("t", 0))),
+                    VertexCode("v", (("b", 0), ("b", 1), ("t", 1))))
+        return SpatialGraphCode("handcuff", vertices, edges, g.crossings)
+    return g
+
+
+@st.composite
+def loop_chains(draw):
+    """1-4 loopings of a looping source, at random ends, of every kind and
+    handedness, never splicing a loop's two ends onto each other."""
+    g = draw(st.sampled_from(LOOPING_SOURCES))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        v = draw(st.sampled_from(g.vertices))
+        pairs = [(p, q) for p, q in itertools.permutations(v.ends, 2) if p[0] != q[0]]
+        g = loop_at(g, v.id, draw(st.sampled_from(pairs)),
+                    draw(st.sampled_from(("plain", "tunnel", "knot"))), draw(st.booleans()))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(family_codes(), braid_graphs(), loop_chains()))
+def test_every_derived_code_is_valid(g):
+    """validate_code, recomputed rather than read from the cache, finds nothing
+    in the constituent links, in the single-loop knots constituent_invariants
+    builds, or in any looping of the code."""
+    for piece in constituent_links(g):
+        assert validate_code(piece) == []
+    with mock.patch.object(wirtinger, "alexander_polynomial",
+                           wraps=wirtinger.alexander_polynomial) as alexander:
+        wirtinger.constituent_invariants(g)
+    for call in alexander.call_args_list:
+        assert validate_code(call.args[0]) == []
+    for v in g.vertices:
+        for p, q in itertools.permutations(v.ends, 2):
+            if p[0] != q[0]:
+                assert validate_code(loop_at(g, v.id, (p, q))) == []
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(braid_closures(), family_codes(), loop_chains()))
+def test_format_then_parse_is_the_identity(g):
+    assert parse_code(format_code(g)) == g
+
+
+PARSE_SOURCES = (*LOOPING_SOURCES, family_torus_link(4), closed_braid(braid(1, -2, 1, -2), 3),
+                 tunnel_loop(3))
+MUTANT_TOKENS = ("x1", "x2", "x!1", "k", "a", "ka", "u", "w", "over", "under", "sideways",
+                 "sign=+", "sign=-", "sign=*", "sign=", "sgn=+", "ends", "from", "to", "loop",
+                 "a.0", "a.2", ".1", "u.", "meta", "origin=family", "n=x", "pass", "edge",
+                 "vertex", "graph", "link", "#")
+
+
+@st.composite
+def malformed_texts(draw):
+    """A formatted code with 1-3 mutations: a line deleted, duplicated or
+    swapped, a token replaced, a stray #, or a pass line with one or more
+    bad fields inserted after the edge lines."""
+    lines = format_code(draw(st.sampled_from(PARSE_SOURCES))).splitlines()
+    edges = sorted({line.split()[1] for line in lines if line.startswith("edge ")})
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "token", "hash", "pass")))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token" and lines[i].split():
+            tokens = lines[i].split()
+            tokens[draw(st.integers(min_value=0, max_value=len(tokens) - 1))] = draw(
+                st.sampled_from(MUTANT_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif op == "hash":
+            k = draw(st.integers(min_value=0, max_value=len(lines[i])))
+            lines[i] = lines[i][:k] + "#" + lines[i][k:]
+        elif op == "pass":
+            fields = [draw(st.sampled_from((*edges, "zz"))),
+                      draw(st.sampled_from(("x1", "x2", "x!1", "x99"))),
+                      draw(st.sampled_from(("over", "under", "sideways"))),
+                      draw(st.sampled_from(("sign=+", "sign=-", "sign=*", "sgn=+", "sign=++")))]
+            if draw(st.booleans()):
+                del fields[draw(st.integers(min_value=0, max_value=3))]
+            after_edges = max((j + 1 for j, line in enumerate(lines) if line.startswith("edge")),
+                              default=0)
+            lines.insert(draw(st.integers(min_value=after_edges, max_value=len(lines))),
+                         " ".join(["pass", *fields]))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except StructureError as err:
+        return type(err), str(err), err.line
+
+
+@seed(51107)
+@settings(max_examples=300, deadline=None)
+@given(malformed_texts())
+def test_parse_matches_the_token_by_token_oracle(text):
+    """parse_code returns the code the token-by-token reader returns, or
+    raises the same exception with the same message and line."""
+    assert _outcome(parse_code, text) == _outcome(token_by_token_parse_code, text)
+
+
+def test_parse_checks_a_pass_line_whole_before_its_ids():
+    text = "graph link\nedge k\npass k x!1 over sgn=+\n"
+    expected = (StructureError,
+                "line 3: pass line needs: pass <edge> <crossing> over|under sign=+|-", 3)
+    assert _outcome(parse_code, text) == _outcome(token_by_token_parse_code, text) == expected
+    text = "graph link\nedge k\npass k x1 over sign=+\npass k x!1 under sign=+\n"
+    expected = (StructureError, "line 4: bad identifier 'x!1'", 4)
+    assert _outcome(parse_code, text) == _outcome(token_by_token_parse_code, text) == expected
+
+
+TEXT_SOUP = st.lists(
+    st.lists(st.one_of(st.sampled_from(MUTANT_TOKENS), st.text(max_size=4)), max_size=6)
+    .map(" ".join), max_size=12).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), TEXT_SOUP, malformed_texts()))
+def test_any_text_parses_or_names_a_line_inside_it(text):
+    try:
+        parse_code(text)
+    except StructureError as err:
+        assert err.line is None or 1 <= err.line <= len(text.splitlines())
+
+
+def test_unknown_edge_is_a_structure_error():
+    g = family_torus_link(3, tunnel=True)
+    with pytest.raises(StructureError, match="^no edge named 'zz'$"):
+        g.edge("zz")
+    with pytest.raises(StructureError, match="^no edge named 'zz'$"):
+        loop_class(g, EdgeWalk((("zz", 1),)))
