@@ -8,6 +8,13 @@ malformed input, and 3 for an internal error, which prints its traceback.
 A graph code with a structural defect is malformed input: every command exits
 2 with its line; analyze's JSON keeps an always-empty "violations" key.
 
+Two functions own the mapping from errors to exit codes. _run_per_file runs
+the file commands (validate, classify, symmetry, linking, analyze) and
+reports a malformed file as "path: message" and a contradiction as
+"contradiction: message" on stdout. main runs the rest (enumerate, loop,
+family) and prints "error: message" (exit 2) or "rejected: message"
+(exit 1) on stderr.
+
 main(argv) may be called repeatedly in one process: it builds its argument
 parser on the first call and reuses it for every later one.
 """
@@ -101,8 +108,19 @@ def _emit(reports: list[_FileReport], fmt: str) -> int:
     return max((r.code for r in reports), default=EXIT_OK)
 
 
-def _run_per_file(paths, worker, fmt: str) -> int:
-    return _emit([worker(p) for p in paths], fmt)
+def _run_per_file(paths, work, fmt: str) -> int:
+    """Fill one report per file with work(report) and print them all."""
+    reports = []
+    for path in paths:
+        report = _FileReport(path)
+        try:
+            work(report)
+        except StructureError as err:
+            report.fail(EXIT_STRUCTURE, f"{path}: {err}")
+        except ContradictionError as err:
+            report.fail(EXIT_VIOLATION, f"contradiction: {err}")
+        reports.append(report)
+    return _emit(reports, fmt)
 
 
 # --- enumerate -------------------------------------------------------------------
@@ -132,18 +150,15 @@ def _cmd_enumerate(args) -> int:
     else:
         diagrams = enumerate_valid(single_bigon_rule=not args.drop_bigon_rule)
         report.data["count"] = len(diagrams)
-        report.data["diagrams"] = [
-            {
-                "type": str(classify_type(d)),
-                "realization": realization_status(classify_type(d)),
-                "diagram": diagram_to_json_dict(d),
-            }
-            for d in diagrams
-        ]
+        report.data["diagrams"] = []
         report.say(f"{len(diagrams)} diagram classes")
         for d in diagrams:
             t = classify_type(d)
-            report.say(f"  {t} realization={realization_status(t)}")
+            status = realization_status(t)
+            report.data["diagrams"].append(
+                {"type": str(t), "realization": status, "diagram": diagram_to_json_dict(d)}
+            )
+            report.say(f"  {t} realization={status}")
     return _emit([report], args.format)
 
 
@@ -151,11 +166,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _load_annulus(report: _FileReport):
-    try:
-        ad = parse_annulus(_read(report.path))
-    except StructureError as err:
-        report.fail(EXIT_STRUCTURE, f"{report.path}: {err}")
-        return None
+    ad = parse_annulus(_read(report.path))
     problems = ad.violations
     report.data["violations"] = [
         {"code": v.code, "message": v.message} for v in problems
@@ -168,25 +179,22 @@ def _load_annulus(report: _FileReport):
     return ad
 
 
-def _validate_worker(path: str) -> _FileReport:
-    report = _FileReport(path)
+def _validate_worker(report: _FileReport) -> None:
     ad = _load_annulus(report)
     if ad is not None:
         t = classify_type(ad.base)
         report.data["type"] = str(t)
-        report.say(f"{path}: ok, type {t}")
-    return report
+        report.say(f"{report.path}: ok, type {t}")
 
 
-def _classify_worker(path: str) -> _FileReport:
-    report = _FileReport(path)
+def _classify_worker(report: _FileReport) -> None:
     ad = _load_annulus(report)
     if ad is None:
-        return report
+        return
     t = classify_type(ad.base)
     report.data["type"] = str(t)
     report.data["realization"] = realization_status(t)
-    report.say(f"{path}: type {t}")
+    report.say(f"{report.path}: type {t}")
     report.say(f"realization: {realization_status(t)}")
     facts = derived_facts(ad)
     report.data["facts"] = [
@@ -194,29 +202,26 @@ def _classify_worker(path: str) -> _FileReport:
     ]
     for f in facts:
         report.say(f"  [{f.provenance}] {f.text}")
-    return report
 
 
-def _symmetry_worker(path: str) -> _FileReport:
-    report = _FileReport(path)
+def _symmetry_worker(report: _FileReport) -> None:
     ad = _load_annulus(report)
     if ad is None:
-        return report
+        return
     bounds = symmetry_bounds(ad)
     if bounds is None:
         report.data["bounds"] = None
-        report.say(f"{path}: no bound derived")
-        return report
+        report.say(f"{report.path}: no bound derived")
+        return
     report.data["bounds"] = {
         "sym_plus": bounds.sym_plus.value,
         "sym": bounds.sym.value,
         "exact": bounds.exact,
     }
-    report.say(f"{path}:")
+    report.say(f"{report.path}:")
     report.say(f"  sym+ {bounds.sym_plus.value}")
     report.say(f"  sym  {bounds.sym.value}")
     report.say(f"  exact: {'yes' if bounds.exact else 'no'}")
-    return report
 
 
 # --- loop / family ----------------------------------------------------------------
@@ -246,11 +251,7 @@ def _cmd_loop(args) -> int:
         resolve_end(g, args.vertex, tokens[1].strip()),
     )
     kind = looping_kind(g, pair, args.tunnel)
-    try:
-        result = loop_at(g, args.vertex, pair, kind=kind, mirror=args.mirror)
-    except ContradictionError as err:
-        print(f"rejected: {err}", file=sys.stderr)
-        return EXIT_VIOLATION
+    result = loop_at(g, args.vertex, pair, kind=kind, mirror=args.mirror)
     _write_code(result, args.out, args.format)
     return EXIT_OK
 
@@ -284,32 +285,23 @@ def _cmd_family(args) -> int:
 # --- linking ----------------------------------------------------------------------
 
 
-def _cmd_linking(args) -> int:
-    report = _FileReport(args.file)
-    try:
-        g = parse_code(_read(args.file))
-        names = [t.strip() for t in args.components.split(",")]
-        if len(names) != 2:
-            raise StructureError("--components needs two comma-separated names")
-        if g.kind == "link":
-            link = g
-        elif g.kind == "handcuff":
-            (link,) = constituent_links(g)
-        else:
-            report.fail(EXIT_VIOLATION,
-                        f"{args.file}: a theta-curve has knot constituents, no linking number")
-            return _emit([report], args.format)
-        lk = linking_number(link, names[0], names[1])
-    except StructureError as err:
-        report.fail(EXIT_STRUCTURE, f"{args.file}: {err}")
-        return _emit([report], args.format)
+def _linking(report: _FileReport, components: str) -> None:
+    g = parse_code(_read(report.path))
+    names = [t.strip() for t in components.split(",")]
+    if len(names) != 2:
+        raise StructureError("--components needs two comma-separated names")
+    if g.kind == "theta":
+        report.fail(EXIT_VIOLATION,
+                    f"{report.path}: a theta-curve has knot constituents, no linking number")
+        return
+    (link,) = constituent_links(g)  # a link code is its own constituent
+    lk = linking_number(link, names[0], names[1])
     report.data["linking_number"] = lk
     ok = type_three_two_linking_test(lk)
     report.data["mixed_type_annulus_possible"] = ok
     report.say(f"lk({names[0]}, {names[1]}) = {lk}")
     report.say("mixed-type annulus obstruction: "
                + ("satisfied" if ok else "violated (linking number is a unit)"))
-    return _emit([report], args.format)
 
 
 # --- analyze ----------------------------------------------------------------------
@@ -339,21 +331,10 @@ def _diagram_summary(ad) -> str:
     return f"{t} labels {{{kinds}}}"
 
 
-def _analyze_worker(path: str, assertions: tuple[str, ...]) -> _FileReport:
-    report = _FileReport(path)
-    try:
-        _analyze(report, path, assertions)
-    except StructureError as err:
-        report.fail(EXIT_STRUCTURE, f"{path}: {err}")
-    except ContradictionError as err:
-        report.fail(EXIT_VIOLATION, f"contradiction: {err}")
-    return report
-
-
-def _analyze(report: _FileReport, path: str, assertions: tuple[str, ...]) -> None:
-    g = parse_code(_read(path))
+def _analyze(report: _FileReport, assertions: list[str]) -> None:
+    g = parse_code(_read(report.path))
     report.data["kind"] = g.kind
-    report.say(f"file: {path}")
+    report.say(f"file: {report.path}")
     report.say(f"kind: {g.kind}, {len(g.edges)} edges, {len(g.crossings)} crossings")
     if g.provenance is not None:
         summary = " ".join(f"{k}={v}" for k, v in _prov_items(g.provenance))
@@ -366,14 +347,10 @@ def _analyze(report: _FileReport, path: str, assertions: tuple[str, ...]) -> Non
     for token in assertions:
         _parse_assertion(token, facts)
 
-    # a failed certificate of a graph code is reported before the header,
-    # a failed linking number of a link code after it
-    if g.kind == "link":
-        report.say("constituents:")
+    # a failed certificate is reported before the header
     invariants = constituent_invariants(g)
-    if g.kind != "link":
-        attach_evidence(g, facts, invariants)
-        report.say("constituents:")
+    attach_evidence(g, facts, invariants)
+    report.say("constituents:")
     # a constituent link lists its linking numbers, not its components' knots
     knots, links = invariants
     constituents = []
@@ -527,7 +504,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="linking number of two components")
     p.add_argument("file")
     p.add_argument("--components", required=True, help="two names, e.g. a,b")
-    p.set_defaults(func=_cmd_linking)
+    p.set_defaults(func=lambda args: _run_per_file(
+        [args.file], lambda report: _linking(report, args.components), args.format))
 
     p = sub.add_parser("analyze", parents=[common],
                        help="full report on a graph code")
@@ -538,9 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "split, tunnel=<edge>, knotting-arc=<edge>, "
                         "trivial-knot=<comp>, nontrivial-knot=<comp>")
     p.set_defaults(func=lambda args: _run_per_file(
-        args.files,
-        lambda path: _analyze_worker(path, tuple(args.assertions)),
-        args.format))
+        args.files, lambda report: _analyze(report, args.assertions), args.format))
 
     return parser
 
@@ -553,6 +529,9 @@ def main(argv=None) -> int:
     except StructureError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_STRUCTURE
+    except ContradictionError as err:
+        print(f"rejected: {err}", file=sys.stderr)
+        return EXIT_VIOLATION
     except Exception:  # a crash must not read as a violation or bad input
         import traceback  # only a crash pays for importing it
 

@@ -97,9 +97,6 @@ class IntMatrix:
             raise ValueError("determinant of a non-square matrix")
         return bareiss_det(self.entries)
 
-    def is_unimodular(self) -> bool:
-        return self.nrows == self.ncols and abs(self.det()) == 1
-
 
 def bareiss_det(rows: Sequence[Sequence], one=1):
     """Determinant of a square matrix over an integral domain.
@@ -291,22 +288,6 @@ class AbelianGroup:
         if any(d < 2 for d in self.invariant_factors):
             raise ValueError("invariant factors must be at least 2")
 
-    @classmethod
-    def from_presentation(cls, generators: int, relations: Sequence[Sequence[int]]) -> "AbelianGroup":
-        """Group generated by `generators` symbols modulo the relation rows."""
-        rows = [list(r) for r in relations]
-        for r in rows:
-            if len(r) != generators:
-                raise ValueError("relation width disagrees with generator count")
-        if not rows:
-            return cls(generators)
-        diag = invariant_factors_of(IntMatrix.from_rows(rows))
-        return cls(generators - len(diag), tuple(x for x in diag if x > 1))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -477,10 +458,6 @@ class SlopeShape:
     p: int | None = None
     q: int | None = None
 
-    @property
-    def is_nontrivial_valid(self) -> bool:
-        return self.kind in ("reciprocal", "product")
-
 
 def slope_pair_classify(r1, r2) -> SlopeShape:
     """Classify an unordered slope pair on the two boundary circles.
@@ -592,10 +569,6 @@ class LaurentPoly:
             raise ValueError(f"{other} does not divide {self}")
         return LaurentPoly.from_dict(quotient)
 
-    @property
-    def evaluated_at_one(self) -> int:
-        return sum(c for _, c in self.terms)
-
     def normalized(self) -> "LaurentPoly":
         """Shift so the lowest exponent is 0 and the leading coefficient > 0."""
         if self.is_zero:
@@ -605,9 +578,6 @@ class LaurentPoly:
         if shifted[-1][1] < 0:
             shifted = [(e, -c) for e, c in shifted]
         return LaurentPoly(tuple(shifted))
-
-    def equals_up_to_units(self, other: "LaurentPoly") -> bool:
-        return self.normalized() == other.normalized()
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -626,24 +596,6 @@ class LaurentPoly:
             else:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces)
-
-
-def random_unimodular(rng, n: int, steps: int = 12) -> IntMatrix:
-    """A random unimodular matrix built from elementary row operations.
-
-    Intended for randomized invariance checks (D(M) == D(P @ M @ Q)).
-    """
-    a = [list(row) for row in IntMatrix.identity(n).entries]
-    for _ in range(steps):
-        op = rng.randrange(3)
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if op == 0 and i != j:
-            _add_row(a, i, j, rng.choice([-2, -1, 1, 2]))
-        elif op == 1 and i != j:
-            _swap_rows(a, i, j)
-        else:
-            a[i] = [-x for x in a[i]]
-    return IntMatrix.from_rows(a)
 
 
 def invariant_factors_of(m: IntMatrix) -> tuple[int, ...]:

@@ -243,9 +243,8 @@ def constituent_invariants(g: SpatialGraphCode) -> tuple[dict, dict]:
         for a, b in itertools.combinations(names, 2):
             links[a, b] = linking_number(piece, a, b)
         if g.kind == "handcuff":
-            signs = {c.id: c.sign for c in piece.crossings}
             for e in piece.edges:
-                loop = _restrict(piece, [(e.id, e.passes)], {e.id}, signs)
+                loop = _restrict(piece, [(e.id, e.passes)], {e.id}, piece._signs)
                 knots[e.id] = alexander_polynomial(loop)
     return knots, links
 

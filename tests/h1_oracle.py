@@ -6,11 +6,23 @@ vertex. This module keeps the construction that it replaced, the full
 abelianized Wirtinger presentation. Every strand is split at its
 under-passes into arcs, with one generator per arc, one relation per
 under-pass identifying the arcs it separates, and one relation per vertex.
-The group comes from AbelianGroup.from_presentation, and the coordinates
-come from a second Smith normal form of the same matrix.
+The group comes from group_from_presentation, and the coordinates come
+from a second Smith normal form of the same matrix.
 """
 
-from hkdiag.homology import AbelianGroup, IntMatrix, smith_normal_form
+from hkdiag.homology import AbelianGroup, IntMatrix, invariant_factors_of, smith_normal_form
+
+
+def group_from_presentation(generators, relations):
+    """Group generated by `generators` symbols modulo the relation rows."""
+    rows = [list(r) for r in relations]
+    for r in rows:
+        if len(r) != generators:
+            raise ValueError("relation width disagrees with generator count")
+    if not rows:
+        return AbelianGroup(generators)
+    diag = invariant_factors_of(IntMatrix.from_rows(rows))
+    return AbelianGroup(generators - len(diag), tuple(x for x in diag if x > 1))
 
 
 class Arcs:
@@ -69,7 +81,7 @@ def arc_h1(g):
     """(group, {edge id: coordinates of the edge's first arc}) from the arcs."""
     arcs = Arcs(g)
     rows = relation_rows(g, arcs)
-    group = AbelianGroup.from_presentation(arcs.count, rows)
+    group = group_from_presentation(arcs.count, rows)
     if rows:
         d, _, v = smith_normal_form(IntMatrix.from_rows(rows))
         rank = sum(1 for x in d.diagonal() if x != 0)

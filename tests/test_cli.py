@@ -842,6 +842,75 @@ class MutatedCodeTests(unittest.TestCase):
             code, _, err = run(["analyze", path])
         self.assertIn(code, (0, 2), err)
 
+    @settings(max_examples=150, deadline=None)
+    @given(text=st.one_of(mutated_codes(), diagram_codes().map(format_code)), data=st.data())
+    def test_every_command_exits_0_1_or_2(self, text, data):
+        """analyze, linking and loop on a code, mutated or whole, with drawn
+        names: the exit code says violation or bad input, never a crash."""
+        lines = [line.split() for line in text.splitlines()]
+        edges = sorted({t[1] for t in lines if t[:1] == ["edge"] and len(t) > 1} | {"zz"})
+        vertex = data.draw(st.sampled_from([t for t in lines if t[:1] == ["vertex"]]
+                                           or [["vertex", "u", "ends", "a.0"]]))
+        names = data.draw(st.lists(st.sampled_from(edges), min_size=2, max_size=2))
+        ends = data.draw(st.lists(st.sampled_from(vertex[3:] + edges), min_size=2, max_size=2))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "code.txt")
+            Path(path).write_text(text)
+            for argv in (
+                ["analyze", path, "--format", "json",
+                 *(f"--assert={a}" for a in AnalyzeOutputTests.ASSERTED)],
+                ["linking", path, "--components", ",".join(names)],
+                ["loop", path, "--vertex", vertex[1], "--pair", ",".join(ends),
+                 *(["--mirror"] if data.draw(st.booleans()) else [])],
+            ):
+                code, _, err = run(argv)
+                self.assertIn(code, (0, 1, 2), (argv, err))
+                self.assertNotIn("internal error", err, argv)
+
+
+ANNULUS_LABELS = ("h1", "h2", "k1", "k2(2)", "k2(1/2)", "k2(5/2)", "l(0,5)", "l(2/3,3/2)",
+                  "l(2/3,6)", "l0", "em", "zz")
+
+
+@st.composite
+def mutated_annulus_files(draw) -> str:
+    """The text of a catalog entry with one line mutated: deleted,
+    duplicated, an edge relabeled (bad labels included) or a token replaced."""
+    entry = draw(st.sampled_from(labeling.label_catalog()))
+    lines = labeling.format_annulus(entry.diagram).splitlines()
+    op = draw(st.sampled_from(("delete", "duplicate", "relabel", "replace token")))
+    i = draw(st.integers(0, len(lines) - 1))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "relabel":
+        j = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("edge ")]))
+        lines[j] = f"{lines[j].partition(' label=')[0]} label={draw(st.sampled_from(ANNULUS_LABELS))}"
+    else:
+        tokens = lines[i].split()
+        pool = sorted({t for line in lines for t in line.split()}) + ["zz", "genus=x"]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(pool))
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class MutatedAnnulusFileTests(unittest.TestCase):
+    """An annulus file one edit away from a catalog entry exits 0, 1 or 2
+    from every command that reads it, never 3."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutated_annulus_files())
+    def test_every_command_exits_0_1_or_2(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "diagram.txt")
+            Path(path).write_text(text)
+            for command in ("validate", "classify", "symmetry"):
+                for fmt in ("text", "json"):
+                    code, _, err = run([command, path, "--format", fmt])
+                    self.assertIn(code, (0, 1, 2), (command, fmt, err))
+                    self.assertNotIn("internal error", err, (command, fmt))
+
 
 class AnalyzeOutputTests(unittest.TestCase):
     """analyze prints what it printed before its error mapping, constituent

