@@ -379,7 +379,7 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
             report.say(f"  [{entry.provenance}] {entry.key} = {entry.value}")
 
     if g.kind in ("theta", "handcuff"):
-        classification = classify_atoroidal(g, facts, invariants)
+        classification = classify_atoroidal(g, facts)
         if isinstance(classification, GraphClass):
             report.data["class"] = classification.code
             report.say(f"class: {classification.code} ({classification.description})")

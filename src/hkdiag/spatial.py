@@ -328,7 +328,7 @@ def _restrict(g: SpatialGraphCode, circles: list[tuple[str, tuple[Pass, ...]]],
         EdgeCode(name, None, None, tuple(p for p in passes if p.crossing in surviving))
         for name, passes in circles
     )
-    crossings = tuple(Crossing(cid, signs[cid]) for cid in sorted(surviving))
+    crossings = tuple(Crossing(cid, signs[cid]) for cid in surviving)
     link = SpatialGraphCode("link", (), edges, crossings)
     # Valid as g is: only crossings whose two passes both survive are kept.
     vars(link)["violations"] = ()
@@ -517,7 +517,7 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
     new_vertices.append(VertexCode(w_id, (end_map.get(r, r), (ring_id, 0), (ring_id, 1))))
 
     signs = _effective_signs(g, flipped)
-    crossings = tuple(Crossing(cid, s) for cid, s in sorted(signs.items()))
+    crossings = tuple(Crossing(cid, s) for cid, s in signs.items())
     crossings += (Crossing(x1, ring_sign), Crossing(x2, ring_sign))
 
     prov = g.provenance
@@ -625,10 +625,6 @@ class GraphClass:
             raise ValueError(f"unknown class {self.code!r}")
 
     @property
-    def family(self) -> str:
-        return "theta" if self.code.startswith("tau") else "handcuff"
-
-    @property
     def description(self) -> str:
         return _CLASS_DESCRIPTIONS[self.code]
 
@@ -644,82 +640,61 @@ class Unclassified:
     needed: tuple[str, ...] = ()
 
 
-def classify_atoroidal(g: SpatialGraphCode, facts: FactSet,
-                       invariants=None) -> GraphClass | Unclassified:
+def classify_atoroidal(g: SpatialGraphCode, facts: FactSet) -> GraphClass | Unclassified:
     """Place an atoroidal theta-curve or handcuff graph in its class.
 
-    Whatever the code itself can certify is written into the fact set with
-    provenance "computed": a nonzero linking number of a handcuff's
-    constituent link certifies that the link is not split. The linking
-    number comes from `invariants`, the (knots, links) pair of
-    wirtinger.constituent_invariants(g), and is computed here if that is
-    not given. Everything else (planarity, atoroidality, constituent knot
-    types, arc designations) must be supplied as facts. Returns
-    Unclassified naming the missing facts when the decision is out of reach.
+    Reads the fact set only: call wirtinger.attach_evidence first to add
+    what the code itself certifies (a knotted constituent, a handcuff's
+    non-split constituent link). Everything else (planarity, atoroidality,
+    constituent knot types, arc designations) must be supplied as facts.
+    Both families run one ladder: a planar graph is class 1; a "simple"
+    one (three trivial constituent knots, or a split constituent link) is
+    class 2; otherwise the arc that the first knotted constituent leaves
+    out, or the bridge over a non-split link, must be designated a tunnel
+    (class 3) or a knotting arc (class 4). Returns Unclassified naming the
+    missing facts when the decision is out of reach.
     """
     _require_valid(g)
     if g.kind == "link":
         raise StructureError("classification applies to theta and handcuff codes")
 
-    if g.kind == "handcuff":
-        if invariants is None:
-            (link,) = constituent_links(g)
-            a, b = (e.id for e in link.edges)
-            lks = [linking_number(link, a, b)]
-        else:
-            lks = invariants[1].values()
-        if any(lks):
-            facts.set("split", False, "computed")
+    if g.kind == "theta":
+        comps = [(name, rest.id) for name, _, _, rest in _theta_constituents(g)]
+        status = [facts.get(f"knot-trivial:{name}") for name, _ in comps]
+        knot, arc = next((c for c, s in zip(comps, status) if s is False), (None, None))
+        prefix = "tau"
+        simple = all(s is True for s in status)
+        clash = f"a planar theta-curve has trivial constituents, yet {knot} is knotted"
+        unknown = Unclassified("constituent knot types are unknown",
+                               tuple(f"knot-trivial:{name}" for name, _ in comps))
+        undesignated = f"the arc {arc} must be designated a tunnel or a knotting arc"
+    else:
+        split = facts.get("split")
+        arc = bridge_of(g).id if split is False else None
+        prefix = "h"
+        simple = split is True
+        clash = "a planar handcuff graph has a split constituent link"
+        unknown = Unclassified("splitness of the constituent link is unknown", ("split",))
+        undesignated = f"the bridge {arc} must be designated a tunnel or a knotting arc"
 
     if facts.get("atoroidal") is not True:
         return Unclassified("the exterior must be known atoroidal", ("atoroidal",))
     planar = facts.get("planar")
-
-    if g.kind == "theta":
-        comps = [(name, rest.id) for name, _, _, rest in _theta_constituents(g)]
-        status = [facts.get(f"knot-trivial:{name}") for name, _ in comps]
-        knotted = [c for c, s in zip(comps, status) if s is False]
-        if planar is True:
-            if knotted:
-                raise ContradictionError(
-                    f"a planar theta-curve has trivial constituents, yet {knotted[0][0]} is knotted")
-            return GraphClass("tau1")
-        if planar is False:
-            if all(s is True for s in status):
-                return GraphClass("tau2")
-            if knotted:
-                _, arc = knotted[0]
-                if facts.get("tunnel") == arc:
-                    return GraphClass("tau3")
-                if facts.get("knotting-arc") == arc:
-                    return GraphClass("tau4")
-                return Unclassified(
-                    f"the arc {arc} must be designated a tunnel or a knotting arc",
-                    ("tunnel", "knotting-arc"))
-            return Unclassified(
-                "constituent knot types are unknown",
-                tuple(f"knot-trivial:{name}" for name, _ in comps))
-        return Unclassified("planarity is unknown", ("planar",))
-
     if planar is True:
-        if facts.get("split") is False:
-            raise ContradictionError("a planar handcuff graph has a split constituent link")
-        return GraphClass("h1")
-    if planar is False:
-        split = facts.get("split")
-        if split is True:
-            return GraphClass("h2")
-        if split is False:
-            bridge = bridge_of(g).id
-            if facts.get("tunnel") == bridge:
-                return GraphClass("h3")
-            if facts.get("knotting-arc") == bridge:
-                return GraphClass("h4")
-            return Unclassified(
-                f"the bridge {bridge} must be designated a tunnel or a knotting arc",
-                ("tunnel", "knotting-arc"))
-        return Unclassified("splitness of the constituent link is unknown", ("split",))
-    return Unclassified("planarity is unknown", ("planar",))
+        if arc is not None:
+            raise ContradictionError(clash)
+        return GraphClass(f"{prefix}1")
+    if planar is not False:
+        return Unclassified("planarity is unknown", ("planar",))
+    if simple:
+        return GraphClass(f"{prefix}2")
+    if arc is None:
+        return unknown
+    if facts.get("tunnel") == arc:
+        return GraphClass(f"{prefix}3")
+    if facts.get("knotting-arc") == arc:
+        return GraphClass(f"{prefix}4")
+    return Unclassified(undesignated, ("tunnel", "knotting-arc"))
 
 
 @dataclass(frozen=True)
@@ -1173,7 +1148,7 @@ def parse_code(text: str) -> SpatialGraphCode:
         raise StructureError("missing graph line", lineno)
     edges = tuple(EdgeCode(name, tail, head, tuple(visits))
                   for name, tail, head, visits in edge_reads)
-    crossings = tuple(Crossing(cid, s) for cid, s in sorted(signs.items()))
+    crossings = tuple(Crossing(cid, s) for cid, s in signs.items())
     g = SpatialGraphCode(kind, tuple(vertices), edges, crossings,
                          _prov_from_meta(meta, meta_lines))
     if g.violations:

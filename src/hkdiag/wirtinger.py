@@ -176,12 +176,6 @@ def loop_class(g: SpatialGraphCode, marked: MarkedLoop,
     raise TypeError(f"not a marked loop: {marked!r}")
 
 
-def loop_classes(g: SpatialGraphCode, markeds) -> list[LoopClass]:
-    """Evaluate several marked loops against one shared meridian map."""
-    _, mapping = h1_complement(g)
-    return [loop_class(g, marked, mapping) for marked in markeds]
-
-
 # --- Alexander polynomial -------------------------------------------------------
 
 
@@ -281,5 +275,4 @@ __all__ = [
     "constituent_invariants",
     "h1_complement",
     "loop_class",
-    "loop_classes",
 ]

@@ -581,9 +581,9 @@ class AnalyzeTests(unittest.TestCase):
     def test_analyze_validates_each_code_and_reduces_once(self):
         """One validate_code per code object, one Smith normal form, and each
         constituent invariant computed once per analyze, counted through every
-        hkdiag module namespace: classify_atoroidal reads the linking number
-        analyze already holds instead of building the constituent link again,
-        also when lk = 0 certifies nothing."""
+        hkdiag module namespace: classify_atoroidal reads the fact set only,
+        so it builds no constituent link of its own, also when lk = 0
+        certifies nothing."""
         theta = self.build("theta.txt", "torus-link", "--n", "5", "--tunnel")
         handcuff = self.build("h.txt", "torus-link", "--n", "10", "--tunnel")
         g = family_torus_link(2, tunnel=True)
@@ -786,21 +786,67 @@ def diagram_codes(draw) -> SpatialGraphCode:
     return closed_braid(word, strands)
 
 
+def keep_diagram(draw, lines: list[str]) -> None:
+    """Edit the lines of a code in place so that they still spell a diagram:
+    a crossing change (over and under swap on both pass lines of one
+    crossing, and both signs flip), a comment or blank line, or a crossing
+    renamed to a fresh id on both its lines."""
+    passes = [i for i, line in enumerate(lines) if line.startswith("pass ")]
+    ops = ["comment line", "trailing comment", "blank line"]
+    if passes:
+        ops += ["crossing change", "rename crossing"]
+    op = draw(st.sampled_from(ops))
+    if op == "trailing comment":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] += "  # note"
+        return
+    if op in ("comment line", "blank line"):
+        lines.insert(draw(st.integers(0, len(lines))), "# note" if op == "comment line" else "")
+        return
+    crossings = sorted({lines[i].split()[2] for i in passes})
+    chosen = draw(st.sampled_from(crossings))
+    fresh = next(f"y{k}" for k in range(len(crossings) + 1) if f"y{k}" not in crossings)
+    for i in passes:
+        line, hash_, note = lines[i].partition("#")
+        _, edge, cid, position, sign = line.split()
+        if cid != chosen:
+            continue
+        if op == "crossing change":
+            position = "under" if position == "over" else "over"
+            sign = "sign=-" if sign == "sign=+" else "sign=+"
+        else:
+            cid = fresh
+        lines[i] = f"pass {edge} {cid} {position} {sign} {hash_}{note}".rstrip()
+
+
+@st.composite
+def kept_diagrams(draw) -> str:
+    """The text of a diagram code after one to three edits that keep it a
+    diagram (keep_diagram)."""
+    lines = format_code(draw(diagram_codes())).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        keep_diagram(draw, lines)
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def mutated_codes(draw) -> str:
     """The text of a diagram code with one line mutated: deleted,
     duplicated, its pass flipped between over and under, an end token
-    dropped or renamed, or its vertex renamed."""
+    dropped or renamed, or its vertex renamed; or with one edit that keeps
+    it a diagram (keep_diagram)."""
     lines = format_code(draw(diagram_codes())).splitlines()
     starting = {d: [i for i, line in enumerate(lines) if line.startswith(d + " ")]
                 for d in ("vertex", "edge", "pass")}
-    ops = ["delete", "duplicate"]
+    ops = ["delete", "duplicate", "keep diagram"]
     if starting["pass"]:
         ops.append("flip")
     if starting["vertex"]:
         ops += ["drop end", "rename end", "rename vertex"]
     op = draw(st.sampled_from(ops))
-    if op == "delete":
+    if op == "keep diagram":
+        keep_diagram(draw, lines)
+    elif op == "delete":
         del lines[draw(st.integers(0, len(lines) - 1))]
     elif op == "duplicate":
         i = draw(st.integers(0, len(lines) - 1))
@@ -841,6 +887,19 @@ class MutatedCodeTests(unittest.TestCase):
             Path(path).write_text(text)
             code, _, err = run(["analyze", path])
         self.assertIn(code, (0, 2), err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=kept_diagrams())
+    def test_edits_that_keep_a_diagram_parse_and_analyze(self, text):
+        """A crossing change, a comment or blank line, or a renamed crossing
+        leaves a code that parses without violations and analyzes with exit 0."""
+        g = spatial.parse_code(text)
+        self.assertEqual(spatial.validate_code(g), [])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "code.txt")
+            Path(path).write_text(text)
+            code, _, err = run(["analyze", path])
+        self.assertEqual(code, 0, err)
 
     @settings(max_examples=150, deadline=None)
     @given(text=st.one_of(mutated_codes(), diagram_codes().map(format_code)), data=st.data())

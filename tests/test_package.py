@@ -18,7 +18,7 @@ EXPORTED = {
     "diagram_to_json_dict", "enumerate_valid", "family_odd_ringed", "family_torus_link",
     "format_annulus", "format_code", "format_diagram", "h1_complement",
     "invariant_factors_of", "is_fourone", "klein_case_group", "label_catalog",
-    "labeled_isomorphic", "linking_number", "loop_at", "loop_class", "loop_classes",
+    "labeled_isomorphic", "linking_number", "loop_at", "loop_class",
     "looping_kind", "looping_transition", "meridional_pair_predict", "mirror_code",
     "parse_annulus", "parse_code", "parse_diagram", "parse_label", "predicted_annulus",
     "primitivity_necessary", "realization_status", "resolve_end", "slope_pair_classify",

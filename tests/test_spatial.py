@@ -1,5 +1,6 @@
 """Spatial graph codes: constituents, looping, families, and predictions."""
 
+import contextlib
 import itertools
 from importlib import resources
 from unittest import mock
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 from sympy import Matrix
 
+from classify_oracle import two_ladder_classify
 from h1_oracle import arc_h1
 from loop_oracle import two_branch_loop_at
 from parse_oracle import token_by_token_parse_code
 
-from hkdiag import wirtinger
+from hkdiag import spatial, wirtinger
 from hkdiag.diagram import Violation
 from hkdiag.homology import LaurentPoly, subgroup_index
 from hkdiag.spatial import (
@@ -685,12 +687,12 @@ def test_classify_tau3_tau4():
 
 def test_classify_handcuff():
     g = family_torus_link(4, tunnel=True)
-    facts = theta_facts(atoroidal=True, planar=False, tunnel="t")
+    facts = attach_evidence(g, theta_facts(atoroidal=True, planar=False, tunnel="t"))
     assert classify_atoroidal(g, facts) == GraphClass("h3")
     # the nonzero linking number was recorded as computed evidence
     assert facts.entry("split").provenance == "computed"
 
-    facts = theta_facts(atoroidal=True, planar=False)
+    facts = attach_evidence(g, theta_facts(atoroidal=True, planar=False))
     facts.set("knotting-arc", "t")
     assert classify_atoroidal(g, facts) == GraphClass("h4")
 
@@ -705,19 +707,89 @@ def test_classify_handcuff_split():
 
 
 def test_classify_handcuff_computes_split_when_alone():
-    """Without a computed split entry, classify computes lk = 2 itself and
-    so contradicts an asserted split link."""
+    """attach_evidence computes lk = 2 and so contradicts an asserted split
+    link; classify_atoroidal reads the facts only and takes the assertion."""
     g = family_torus_link(4, tunnel=True)
     facts = theta_facts(atoroidal=True, planar=False, split=True)
-    with pytest.raises(ContradictionError):
-        classify_atoroidal(g, facts)
+    with pytest.raises(ContradictionError, match="split"):
+        attach_evidence(g, facts)
+    assert classify_atoroidal(g, facts) == GraphClass("h2")
 
 
 def test_classify_planar_handcuff_contradiction():
     g = family_torus_link(4, tunnel=True)
-    facts = theta_facts(atoroidal=True, planar=True)
+    facts = attach_evidence(g, theta_facts(atoroidal=True, planar=True))
     with pytest.raises(ContradictionError):
         classify_atoroidal(g, facts)
+
+
+def fact_combinations(g):
+    """Every fact set the ladder can tell apart on g: atoroidal, planar and
+    split (handcuff) or each knot-trivial:* (theta) true, false or unset, and
+    tunnel and knotting-arc unset or each edge."""
+    if g.kind == "theta":
+        simple_keys = [f"knot-trivial:{e1.id}+{e2.id}"
+                       for e1, e2 in itertools.combinations(sorted(g.edges, key=lambda e: e.id), 2)]
+    else:
+        simple_keys = ["split"]
+    keys = ["atoroidal", "planar", *simple_keys]
+    arcs = (None, *(e.id for e in g.edges))
+    for values in itertools.product((True, False, None), repeat=len(keys)):
+        for tunnel, knotting in itertools.product(arcs, repeat=2):
+            facts = FactSet()
+            for key, value in zip(keys, values):
+                if value is not None:
+                    facts.set(key, value)
+            if tunnel is not None:
+                facts.set("tunnel", tunnel)
+            if knotting is not None:
+                facts.set("knotting-arc", knotting)
+            yield facts
+
+
+def outcome(classify, g, facts):
+    try:
+        return classify(g, facts)
+    except ContradictionError as err:
+        return ("contradiction", str(err))
+
+
+def test_classify_matches_the_two_ladder_oracle():
+    """One ladder for both families gives the two ladders' class, reason,
+    needed facts and contradiction message on every fact combination."""
+    seen = {}
+    for g in (family_torus_link(3, tunnel=True), family_torus_link(4, tunnel=True)):
+        combinations, outcomes = 0, set()
+        for facts in fact_combinations(g):
+            want = outcome(two_ladder_classify, g, facts)
+            assert outcome(classify_atoroidal, g, facts) == want, [
+                (e.key, e.value) for e in facts.entries()]
+            combinations += 1
+            outcomes.add(want)
+        seen[g.kind] = (combinations, len(outcomes))
+    # every rung is reached: 4 classes, 3 Unclassified reasons, and the
+    # contradiction and the arc to designate, one per knotted constituent
+    # of the theta, one bridge of the handcuff
+    assert seen == {"theta": (3 ** 5 * 4 ** 2, 4 + 3 + 3 + 3),
+                    "handcuff": (3 ** 3 * 4 ** 2, 4 + 3 + 1 + 1)}
+
+
+def test_classify_computes_no_invariant():
+    """classify_atoroidal reads facts only: it builds no constituent link and
+    computes no linking number or Alexander polynomial."""
+    names = ("constituent_links", "linking_number", "alexander_polynomial")
+    cases = [
+        (family_torus_link(3, tunnel=True), theta_facts(atoroidal=True, planar=False, tunnel="t")),
+        (family_torus_link(4, tunnel=True), theta_facts(atoroidal=True, planar=False, tunnel="t")),
+    ]
+    for g, facts in cases:
+        attach_evidence(g, facts)
+    with contextlib.ExitStack() as stack:
+        calls = [stack.enter_context(mock.patch.object(module, name, side_effect=AssertionError))
+                 for name in names for module in (spatial, wirtinger) if hasattr(module, name)]
+        assert [classify_atoroidal(g, facts) for g, facts in cases] == [
+            GraphClass("tau3"), GraphClass("h3")]
+    assert len(calls) == 5 and not any(c.called for c in calls)
 
 
 def test_classify_rejects_links():
