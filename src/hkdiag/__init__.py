@@ -12,19 +12,76 @@ The package splits into five layers:
   looping rewrite, graph classification and the example families.
 - wirtinger: homology of complements read off a code, meridian coordinates
   and Alexander polynomial certificates.
+
+The package namespace is lazy (PEP 562): `import hkdiag` loads no layer.
+Each name in `__all__`, and each layer as `hkdiag.<layer>`, is looked up in
+its module on access, importing the module on first use.
 """
 
-from . import diagram, homology, labeling, spatial, wirtinger
-from .diagram import *  # noqa: F401,F403
-from .homology import *  # noqa: F401,F403
-from .labeling import *  # noqa: F401,F403
-from .spatial import *  # noqa: F401,F403
-from .wirtinger import *  # noqa: F401,F403
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    name
-    for module in (diagram, homology, labeling, spatial, wirtinger)
-    for name in module.__all__
-)
+_LAYERS = ("diagram", "homology", "labeling", "spatial", "wirtinger")
+
+# Each module's exported names; the two shared errors are read from `errors`,
+# which `diagram` and `spatial` re-export.
+_EXPORTS = {
+    "errors": ("ContradictionError", "StructureError"),
+    "diagram": (
+        "CharDiagram", "DiagramType", "Node", "NodeKind", "Violation", "are_isomorphic",
+        "canonical_form", "classify_type", "diagram_from_json_dict", "diagram_to_json_dict",
+        "enumerate_valid", "format_diagram", "parse_diagram", "realization_status",
+        "solid_base_annotation", "validate",
+    ),
+    "homology": (
+        "AbelianGroup", "INFINITE", "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass",
+        "SlopeShape", "bareiss_det", "invariant_factors_of", "klein_case_group",
+        "meridional_pair_predict", "primitivity_necessary", "slope_pair_classify",
+        "smith_normal_form", "subgroup_index",
+    ),
+    "labeling": (
+        "AnnulusDiagram", "CatalogEntry", "EdgeLabel", "Fact", "GroupBound", "SymmetryBounds",
+        "annulus_from_json_dict", "annulus_to_json_dict", "derived_facts", "format_annulus",
+        "is_fourone", "label_catalog", "labeled_isomorphic", "parse_annulus", "parse_label",
+        "symmetry_bounds", "validate_labels",
+    ),
+    "spatial": (
+        "AnnulusPrediction", "Crossing", "EdgeCode", "FactSet", "GraphClass", "Pass",
+        "Provenance", "SpatialGraphCode", "Transition", "Unclassified", "VertexCode",
+        "classify_atoroidal", "closed_braid", "constituent_links", "family_odd_ringed",
+        "family_torus_link", "format_code", "linking_number", "loop_at", "looping_kind",
+        "looping_transition", "mirror_code", "parse_code", "predicted_annulus", "resolve_end",
+        "type_three_two_linking_test", "validate_code",
+    ),
+    "wirtinger": (
+        "EdgeWalk", "Meridian", "MeridianMap", "UnderPassWord", "alexander_polynomial",
+        "attach_evidence", "constituent_invariants", "h1_complement", "loop_class",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def _module(name: str):
+    # __import__ takes the import statement's path, so -X importtime reports
+    # the layer; importlib.import_module would hide it
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    # Anything outside the table fails at once: `from hkdiag import cli` asks
+    # for hkdiag.cli before importing the submodule, and must not load a layer.
+    if name in _LAYERS:
+        return _module(name)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_module(module), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAYERS})

@@ -17,6 +17,14 @@ family) and prints "error: message" (exit 2) or "rejected: message"
 
 main(argv) may be called repeatedly in one process: it builds its argument
 parser on the first call and reuses it for every later one.
+
+Importing this module loads no layer, only the shared errors. Each command
+imports the layers it calls when it runs, so a one-shot command pays
+start-up only for those: enumerate imports diagram; enumerate --labels,
+validate, classify and symmetry import labeling (which loads diagram and
+homology); loop, family and linking import spatial (which loads diagram);
+analyze imports spatial and wirtinger, and spatial loads labeling only for
+the ring annulus prediction of a looped code.
 """
 
 from __future__ import annotations
@@ -26,41 +34,9 @@ import functools
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
-from .diagram import StructureError, classify_type, enumerate_valid, realization_status
-from .diagram import diagram_to_json_dict
-from .labeling import (
-    annulus_to_json_dict,
-    derived_facts,
-    label_catalog,
-    parse_annulus,
-    symmetry_bounds,
-)
-from .spatial import (
-    ContradictionError,
-    FactSet,
-    GraphClass,
-    Unclassified,
-    bridge_of,
-    classify_atoroidal,
-    constituent_links,
-    family_odd_ringed,
-    family_torus_link,
-    format_code,
-    linking_number,
-    loop_at,
-    looping_kind,
-    looping_transition,
-    mirror_code,
-    parse_code,
-    predicted_annulus,
-    resolve_end,
-    type_three_two_linking_test,
-    _prov_items,
-)
-from .wirtinger import attach_evidence, constituent_invariants, h1_complement
+from .errors import ContradictionError, StructureError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -130,7 +106,9 @@ def _cmd_enumerate(args) -> int:
     report = _FileReport("enumerate")
     del report.data["file"]
     if args.labels:
-        entries = label_catalog()
+        from . import labeling
+
+        entries = labeling.label_catalog()
         report.data["count"] = len(entries)
         report.data["entries"] = [
             {
@@ -138,7 +116,7 @@ def _cmd_enumerate(args) -> int:
                 "labels": list(entry.kinds),
                 "realization": entry.realization,
                 "constrained": entry.constrained,
-                "diagram": annulus_to_json_dict(entry.diagram),
+                "diagram": labeling.annulus_to_json_dict(entry.diagram),
             }
             for entry in entries
         ]
@@ -148,15 +126,17 @@ def _cmd_enumerate(args) -> int:
             report.say(f"  {entry.dtype} {{{', '.join(entry.kinds)}}}{marker}")
         report.say("entries marked * carry a symmetry bound")
     else:
-        diagrams = enumerate_valid(single_bigon_rule=not args.drop_bigon_rule)
+        from . import diagram
+
+        diagrams = diagram.enumerate_valid(single_bigon_rule=not args.drop_bigon_rule)
         report.data["count"] = len(diagrams)
         report.data["diagrams"] = []
         report.say(f"{len(diagrams)} diagram classes")
         for d in diagrams:
-            t = classify_type(d)
-            status = realization_status(t)
+            t = diagram.classify_type(d)
+            status = diagram.realization_status(t)
             report.data["diagrams"].append(
-                {"type": str(t), "realization": status, "diagram": diagram_to_json_dict(d)}
+                {"type": str(t), "realization": status, "diagram": diagram.diagram_to_json_dict(d)}
             )
             report.say(f"  {t} realization={status}")
     return _emit([report], args.format)
@@ -165,8 +145,8 @@ def _cmd_enumerate(args) -> int:
 # --- validate / classify / symmetry ----------------------------------------------
 
 
-def _load_annulus(report: _FileReport):
-    ad = parse_annulus(_read(report.path))
+def _checked(report: _FileReport, ad):
+    """ad, or None after reporting its rule violations."""
     problems = ad.violations
     report.data["violations"] = [
         {"code": v.code, "message": v.message} for v in problems
@@ -180,23 +160,27 @@ def _load_annulus(report: _FileReport):
 
 
 def _validate_worker(report: _FileReport) -> None:
-    ad = _load_annulus(report)
+    from . import diagram, labeling
+
+    ad = _checked(report, labeling.parse_annulus(_read(report.path)))
     if ad is not None:
-        t = classify_type(ad.base)
+        t = diagram.classify_type(ad.base)
         report.data["type"] = str(t)
         report.say(f"{report.path}: ok, type {t}")
 
 
 def _classify_worker(report: _FileReport) -> None:
-    ad = _load_annulus(report)
+    from . import diagram, labeling
+
+    ad = _checked(report, labeling.parse_annulus(_read(report.path)))
     if ad is None:
         return
-    t = classify_type(ad.base)
+    t = diagram.classify_type(ad.base)
     report.data["type"] = str(t)
-    report.data["realization"] = realization_status(t)
+    report.data["realization"] = diagram.realization_status(t)
     report.say(f"{report.path}: type {t}")
-    report.say(f"realization: {realization_status(t)}")
-    facts = derived_facts(ad)
+    report.say(f"realization: {diagram.realization_status(t)}")
+    facts = labeling.derived_facts(ad)
     report.data["facts"] = [
         {"code": f.code, "text": f.text, "provenance": f.provenance} for f in facts
     ]
@@ -205,10 +189,12 @@ def _classify_worker(report: _FileReport) -> None:
 
 
 def _symmetry_worker(report: _FileReport) -> None:
-    ad = _load_annulus(report)
+    from . import labeling
+
+    ad = _checked(report, labeling.parse_annulus(_read(report.path)))
     if ad is None:
         return
-    bounds = symmetry_bounds(ad)
+    bounds = labeling.symmetry_bounds(ad)
     if bounds is None:
         report.data["bounds"] = None
         report.say(f"{report.path}: no bound derived")
@@ -227,8 +213,7 @@ def _symmetry_worker(report: _FileReport) -> None:
 # --- loop / family ----------------------------------------------------------------
 
 
-def _write_code(g, out: str | None, fmt: str) -> None:
-    text = format_code(g)
+def _write_code(text: str, out: str | None, fmt: str) -> None:
     if out:
         try:
             Path(out).write_text(text)
@@ -242,17 +227,19 @@ def _write_code(g, out: str | None, fmt: str) -> None:
 
 
 def _cmd_loop(args) -> int:
-    g = parse_code(_read(args.file))
+    from . import spatial
+
+    g = spatial.parse_code(_read(args.file))
     tokens = args.pair.split(",")
     if len(tokens) != 2:
         raise StructureError("--pair needs two comma-separated edge ends")
     pair = (
-        resolve_end(g, args.vertex, tokens[0].strip()),
-        resolve_end(g, args.vertex, tokens[1].strip()),
+        spatial.resolve_end(g, args.vertex, tokens[0].strip()),
+        spatial.resolve_end(g, args.vertex, tokens[1].strip()),
     )
-    kind = looping_kind(g, pair, args.tunnel)
-    result = loop_at(g, args.vertex, pair, kind=kind, mirror=args.mirror)
-    _write_code(result, args.out, args.format)
+    kind = spatial.looping_kind(g, pair, args.tunnel)
+    result = spatial.loop_at(g, args.vertex, pair, kind=kind, mirror=args.mirror)
+    _write_code(spatial.format_code(result), args.out, args.format)
     return EXIT_OK
 
 
@@ -262,23 +249,27 @@ def _data_text(name: str) -> str:
         candidate = Path(override) / name
         if candidate.exists():
             return candidate.read_text()
+    from importlib import resources
+
     return resources.files("hkdiag").joinpath("data", name).read_text()
 
 
 def _cmd_family(args) -> int:
+    from . import spatial
+
     if args.name == "torus-link":
         if args.n is None:
             raise StructureError("torus-link needs --n")
-        g = family_torus_link(args.n, tunnel=args.tunnel, mirror=args.mirror)
+        g = spatial.family_torus_link(args.n, tunnel=args.tunnel, mirror=args.mirror)
     elif args.name == "odd-ringed":
         if args.n is None:
             raise StructureError("odd-ringed needs --n")
-        g = family_odd_ringed(args.n, ring=args.ring, mirror=args.mirror)
+        g = spatial.family_odd_ringed(args.n, ring=args.ring, mirror=args.mirror)
     else:
-        g = parse_code(_data_text("spine_5_2.txt"))
+        g = spatial.parse_code(_data_text("spine_5_2.txt"))
         if args.mirror:
-            g = mirror_code(g)
-    _write_code(g, args.out, args.format)
+            g = spatial.mirror_code(g)
+    _write_code(spatial.format_code(g), args.out, args.format)
     return EXIT_OK
 
 
@@ -286,7 +277,9 @@ def _cmd_family(args) -> int:
 
 
 def _linking(report: _FileReport, components: str) -> None:
-    g = parse_code(_read(report.path))
+    from . import spatial
+
+    g = spatial.parse_code(_read(report.path))
     names = [t.strip() for t in components.split(",")]
     if len(names) != 2:
         raise StructureError("--components needs two comma-separated names")
@@ -294,10 +287,10 @@ def _linking(report: _FileReport, components: str) -> None:
         report.fail(EXIT_VIOLATION,
                     f"{report.path}: a theta-curve has knot constituents, no linking number")
         return
-    (link,) = constituent_links(g)  # a link code is its own constituent
-    lk = linking_number(link, names[0], names[1])
+    (link,) = spatial.constituent_links(g)  # a link code is its own constituent
+    lk = spatial.linking_number(link, names[0], names[1])
     report.data["linking_number"] = lk
-    ok = type_three_two_linking_test(lk)
+    ok = spatial.type_three_two_linking_test(lk)
     report.data["mixed_type_annulus_possible"] = ok
     report.say(f"lk({names[0]}, {names[1]}) = {lk}")
     report.say("mixed-type annulus obstruction: "
@@ -307,7 +300,7 @@ def _linking(report: _FileReport, components: str) -> None:
 # --- analyze ----------------------------------------------------------------------
 
 
-def _parse_assertion(token: str, facts: FactSet) -> None:
+def _parse_assertion(token: str, facts) -> None:
     key, eq, value = token.partition("=")
     if not eq:
         raise StructureError(f"assertion {token!r} needs key=value")
@@ -325,31 +318,27 @@ def _parse_assertion(token: str, facts: FactSet) -> None:
         raise StructureError(f"unknown assertion key {key!r}")
 
 
-def _diagram_summary(ad) -> str:
-    t = classify_type(ad.base)
-    kinds = ", ".join(str(lab) for lab in ad.labels)
-    return f"{t} labels {{{kinds}}}"
-
-
 def _analyze(report: _FileReport, assertions: list[str]) -> None:
-    g = parse_code(_read(report.path))
+    from . import diagram, spatial, wirtinger
+
+    g = spatial.parse_code(_read(report.path))
     report.data["kind"] = g.kind
     report.say(f"file: {report.path}")
     report.say(f"kind: {g.kind}, {len(g.edges)} edges, {len(g.crossings)} crossings")
     if g.provenance is not None:
-        summary = " ".join(f"{k}={v}" for k, v in _prov_items(g.provenance))
-        report.data["provenance"] = dict(_prov_items(g.provenance))
+        summary = " ".join(f"{k}={v}" for k, v in spatial._prov_items(g.provenance))
+        report.data["provenance"] = dict(spatial._prov_items(g.provenance))
         report.say(f"provenance: {summary}")
 
     report.data["violations"] = []  # parse_code refuses violations; kept for scripts
 
-    facts = FactSet()
+    facts = spatial.FactSet()
     for token in assertions:
         _parse_assertion(token, facts)
 
     # a failed certificate is reported before the header
-    invariants = constituent_invariants(g)
-    attach_evidence(g, facts, invariants)
+    invariants = wirtinger.constituent_invariants(g)
+    wirtinger.attach_evidence(g, facts, invariants)
     report.say("constituents:")
     # a constituent link lists its linking numbers, not its components' knots
     knots, links = invariants
@@ -364,7 +353,7 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
             report.say(f"  knot {name}: alexander {delta}")
     report.data["constituents"] = constituents
 
-    group, mm = h1_complement(g)
+    group, mm = wirtinger.h1_complement(g)
     report.data["homology"] = {
         "group": str(group),
         "meridians": {e.id: list(mm.edge_class(e.id).coords) for e in g.edges},
@@ -379,18 +368,18 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
             report.say(f"  [{entry.provenance}] {entry.key} = {entry.value}")
 
     if g.kind in ("theta", "handcuff"):
-        classification = classify_atoroidal(g, facts)
-        if isinstance(classification, GraphClass):
+        classification = spatial.classify_atoroidal(g, facts)
+        if isinstance(classification, spatial.GraphClass):
             report.data["class"] = classification.code
             report.say(f"class: {classification.code} ({classification.description})")
-            transition = looping_transition(classification)
+            transition = spatial.looping_transition(classification)
             targets = " or ".join(t.code for t in transition.targets)
             report.data["looping_targets"] = [t.code for t in transition.targets]
             report.say(f"looping lands in: {targets}")
             if transition.note:
                 report.say(f"  note: {transition.note}")
         else:
-            assert isinstance(classification, Unclassified)
+            assert isinstance(classification, spatial.Unclassified)
             report.data["class"] = None
             report.data["unclassified"] = {
                 "reason": classification.reason,
@@ -398,7 +387,7 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
             }
             report.say(f"unclassified: {classification.reason}")
         if g.kind == "handcuff":
-            report.data["bridge"] = bridge_of(g).id
+            report.data["bridge"] = spatial.bridge_of(g).id
 
     report.data["facts"] = [
         {"key": e.key, "value": e.value, "provenance": e.provenance}
@@ -406,14 +395,19 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
     ]
 
     if g.provenance is not None and g.provenance.origin == "looping":
-        prediction = predicted_annulus(g, facts)
+        prediction = spatial.predicted_annulus(g, facts)
+        summary = None
+        if prediction.diagram is not None:
+            ad = prediction.diagram
+            kinds = ", ".join(str(lab) for lab in ad.labels)
+            summary = f"{diagram.classify_type(ad.base)} labels {{{kinds}}}"
         pdata = {
             "annulus_type": prediction.annulus_type,
             "annulus_count": prediction.annulus_count,
             "unknotting": prediction.unknotting,
             "exterior_irreducible_atoroidal": prediction.exterior_irreducible_atoroidal,
             "unique": prediction.unique,
-            "diagram": _diagram_summary(prediction.diagram) if prediction.diagram else None,
+            "diagram": summary,
             "notes": list(prediction.notes),
         }
         report.data["prediction"] = pdata
@@ -427,8 +421,8 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
         report.say("  exterior irreducible and atoroidal: "
                    f"{show(prediction.exterior_irreducible_atoroidal)}")
         report.say(f"  unique of its type: {show(prediction.unique)}")
-        if prediction.diagram is not None:
-            report.say(f"  diagram: {_diagram_summary(prediction.diagram)}")
+        if summary is not None:
+            report.say(f"  diagram: {summary}")
         for note in prediction.notes:
             report.say(f"  note: {note}")
 

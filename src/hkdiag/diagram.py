@@ -17,20 +17,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-
-class StructureError(ValueError):
-    """Raised for input that does not describe a diagram at all.
-
-    Distinct from a validation violation: a violation is a well-formed
-    diagram breaking a domain constraint, a StructureError is a file or
-    object that cannot be interpreted.
-    """
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+from .errors import StructureError
 
 
 class NodeKind(enum.Enum):

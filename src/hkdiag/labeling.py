@@ -29,7 +29,6 @@ from functools import cache, cached_property
 from .diagram import (
     CharDiagram,
     DiagramType,
-    StructureError,
     Violation,
     canonical_form,
     classify_type,
@@ -40,6 +39,7 @@ from .diagram import (
     solid_base_annotation,
     _parse_lines,
 )
+from .errors import StructureError
 from .homology import SlopeShape, slope_pair_classify
 
 H_KINDS = ("h1", "h2")

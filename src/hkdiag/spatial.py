@@ -21,20 +21,18 @@ import itertools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-from .diagram import CharDiagram, Node, NodeKind, StructureError, Violation
-from .labeling import AnnulusDiagram, EdgeLabel
+from .diagram import CharDiagram, Node, NodeKind, Violation
+from .errors import ContradictionError, StructureError
+
+if TYPE_CHECKING:  # imported where used: only a looped code's prediction needs labels
+    from .labeling import AnnulusDiagram, EdgeLabel
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_+-]+$")
 _SIGNS = {"sign=+": 1, "sign=-": -1}
-
-
-class ContradictionError(ValueError):
-    """Raised when a request and the code cannot both hold: asserted facts
-    against computed evidence, or a looping that would disconnect the graph."""
 
 
 @dataclass(frozen=True)
@@ -745,11 +743,15 @@ def type_three_two_linking_test(lk: int) -> bool:
 
 
 def _diag_loop(label: EdgeLabel) -> AnnulusDiagram:
+    from .labeling import AnnulusDiagram
+
     base = CharDiagram.build([Node("v", NodeKind.HOLLOW, 2)], [("v", "v")])
     return AnnulusDiagram.build(base, [label])
 
 
 def _diag_loop_with_cut(loop_label: EdgeLabel, cut_label: EdgeLabel) -> AnnulusDiagram:
+    from .labeling import AnnulusDiagram
+
     base = CharDiagram.build(
         [Node("v", NodeKind.HOLLOW, 2), Node("s", NodeKind.SOLID)],
         [("v", "v"), ("v", "s")],
@@ -758,6 +760,8 @@ def _diag_loop_with_cut(loop_label: EdgeLabel, cut_label: EdgeLabel) -> AnnulusD
 
 
 def _diag_theta(solid: bool) -> AnnulusDiagram:
+    from .labeling import AnnulusDiagram, EdgeLabel
+
     kind = NodeKind.SOLID if solid else NodeKind.HOLLOW
     base = CharDiagram.build(
         [Node("v", kind, 2), Node("s", NodeKind.SOLID)],
@@ -792,6 +796,10 @@ def predicted_annulus(g: SpatialGraphCode, facts: FactSet) -> AnnulusPrediction:
     if pv is None or pv.origin != "looping" or pv.loopings < 1:
         return AnnulusPrediction(None, 0, None, None, None, None,
                                  ("the code does not record a looping",))
+    from fractions import Fraction
+
+    from .labeling import EdgeLabel
+
     source_ok = facts.get("atoroidal") is True and facts.get("planar") is False
 
     if pv.loopings >= 2:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .diagram import StructureError
+from .errors import StructureError
 from .homology import AbelianGroup, IntMatrix, LaurentPoly, LoopClass, smith_normal_form
 from .homology import bareiss_det
 from .spatial import (

@@ -1096,11 +1096,19 @@ class OneShotTests(unittest.TestCase):
     prints what an in-process call prints."""
 
     @staticmethod
-    def python(*args: str) -> subprocess.CompletedProcess:
+    def python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
         src = str(Path(hkdiag.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), check=True)
+                              env=dict(os.environ, PYTHONPATH=path), check=check)
+
+    def one_shot(self, *argv: str) -> tuple[int, str, str]:
+        """Exit code, stdout and stderr of `python -m hkdiag.cli argv`, checked
+        against the same call in process."""
+        proc = self.python("-m", "hkdiag.cli", *argv, check=False)
+        result = (proc.returncode, proc.stdout, proc.stderr)
+        self.assertEqual(result, run(list(argv)))
+        return result
 
     def test_import_builds_no_parser(self):
         out = self.python("-c", (
@@ -1120,6 +1128,35 @@ class OneShotTests(unittest.TestCase):
         out = self.python("-m", "hkdiag.cli", "enumerate", "--labels", "--format", "json").stdout
         self.assertEqual(hashlib.sha256(out.encode()).hexdigest(),
                          OncePerProcessTests.OUTPUT_SHA256["enumerate --labels json"])
+
+    def test_one_shot_exit_codes_match_in_process(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            theta, link = str(Path(tmp) / "theta.txt"), str(Path(tmp) / "link.txt")
+            spine, once = str(Path(tmp) / "spine.txt"), str(Path(tmp) / "once.txt")
+            broken, bad = str(Path(tmp) / "broken.txt"), str(Path(tmp) / "bad.txt")
+            run(["family", "torus-link", "--n", "3", "--tunnel", "-o", theta])
+            run(["family", "torus-link", "--n", "2", "--tunnel", "-o", link])
+            run(["family", "spine-5-2", "-o", spine])
+            run(["loop", spine, "--vertex", "u", "--pair", "ka,kb", "--tunnel", "t", "-o", once])
+            Path(broken).write_text("graph link\nedge k\npass k x1 over sign=+\n")
+            Path(bad).write_text(BAD_LABELS)
+
+            code, out, _ = self.one_shot("analyze", theta, "--assert", "atoroidal=true",
+                                         "--assert", "planar=false", "--assert", "tunnel=t")
+            self.assertEqual(code, 0)
+            self.assertIn("class: ", out)
+            code, out, _ = self.one_shot("analyze", once)  # imports labeling on the way
+            self.assertEqual(code, 0)
+            self.assertIn("ring annulus prediction:", out)
+            code, out, _ = self.one_shot("analyze", broken)
+            self.assertEqual(code, 2)
+            self.assertIn(f"{broken}: line 3", out)
+            code, out, _ = self.one_shot("validate", bad)
+            self.assertEqual(code, 1)
+            self.assertIn("violation", out)
+            code, out, err = self.one_shot("loop", link, "--vertex", "u", "--pair", "a.0,a.1")
+            self.assertEqual((code, out), (1, ""))
+            self.assertTrue(err.startswith("rejected: "), err)
 
 
 class DataOverrideTests(unittest.TestCase):
