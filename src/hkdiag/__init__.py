@@ -24,8 +24,10 @@ __version__ = "0.1.0"
 
 _LAYERS = ("diagram", "homology", "labeling", "spatial", "wirtinger")
 
-# Each module's exported names; the two shared errors are read from `errors`,
-# which `diagram` and `spatial` re-export.
+# The one list of public names, by module: a new public name goes here. Each
+# layer sets its __all__ from its own entry (the package is initialised before
+# any layer runs, so reading this loads nothing). The two shared errors are
+# read from `errors`; `diagram` and `spatial` re-export them in their __all__.
 _EXPORTS = {
     "errors": ("ContradictionError", "StructureError"),
     "diagram": (

@@ -18,20 +18,20 @@ family) and prints "error: message" (exit 2) or "rejected: message"
 main(argv) may be called repeatedly in one process: it builds its argument
 parser on the first call and reuses it for every later one.
 
-Importing this module loads no layer, only the shared errors. Each command
-imports the layers it calls when it runs, so a one-shot command pays
-start-up only for those: enumerate imports diagram; enumerate --labels,
-validate, classify and symmetry import labeling (which loads diagram and
-homology); loop, family and linking import spatial (which loads diagram);
-analyze imports spatial and wirtinger, and spatial loads labeling only for
-the ring annulus prediction of a looped code.
+Importing this module loads no layer, only the shared errors; json is
+imported only where JSON is written. Each command imports the layers it
+calls when it runs, so a one-shot command pays start-up only for those:
+enumerate imports diagram; enumerate --labels, validate, classify and
+symmetry import labeling (which loads diagram and homology); loop, family
+and linking import spatial (which loads diagram); analyze imports spatial
+and wirtinger, and spatial loads labeling only for the ring annulus
+prediction of a looped code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -67,13 +67,17 @@ class _FileReport:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise StructureError(f"cannot read {path}: {err.strerror}")
+    except UnicodeDecodeError:
+        raise StructureError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _emit(reports: list[_FileReport], fmt: str) -> int:
     if fmt == "json":
+        import json
+
         payload = [r.data for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     else:
@@ -221,6 +225,8 @@ def _write_code(text: str, out: str | None, fmt: str) -> None:
             raise StructureError(f"cannot write {out}: {err.strerror}") from None
         print(f"wrote {out}")
     elif fmt == "json":
+        import json
+
         print(json.dumps({"code": text}))
     else:
         sys.stdout.write(text)

@@ -17,7 +17,10 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .errors import StructureError
+
+__all__ = [*_EXPORTS["diagram"], "StructureError"]
 
 
 class NodeKind(enum.Enum):
@@ -447,24 +450,3 @@ def diagram_from_json_dict(data: dict) -> CharDiagram:
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed diagram object: {exc}") from exc
     return CharDiagram.build(nodes, edges)
-
-
-__all__ = [
-    "CharDiagram",
-    "DiagramType",
-    "Node",
-    "NodeKind",
-    "StructureError",
-    "Violation",
-    "are_isomorphic",
-    "canonical_form",
-    "classify_type",
-    "diagram_from_json_dict",
-    "diagram_to_json_dict",
-    "enumerate_valid",
-    "format_diagram",
-    "parse_diagram",
-    "realization_status",
-    "solid_base_annotation",
-    "validate",
-]

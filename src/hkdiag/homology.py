@@ -16,6 +16,10 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Sequence, Union
 
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["homology"])
+
 
 class _Infinite:
     """Singleton return value for indices of infinite-index subgroups."""
@@ -602,22 +606,3 @@ def invariant_factors_of(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero Smith diagonal entries of m, in divisibility order."""
     d, _, _ = smith_normal_form(m)
     return tuple(x for x in d.diagonal() if x)
-
-
-__all__ = [
-    "AbelianGroup",
-    "INFINITE",
-    "IntMatrix",
-    "KleinCaseGroup",
-    "LaurentPoly",
-    "LoopClass",
-    "SlopeShape",
-    "bareiss_det",
-    "invariant_factors_of",
-    "klein_case_group",
-    "meridional_pair_predict",
-    "primitivity_necessary",
-    "slope_pair_classify",
-    "smith_normal_form",
-    "subgroup_index",
-]

@@ -26,6 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
 
+from . import _EXPORTS
 from .diagram import (
     CharDiagram,
     DiagramType,
@@ -41,6 +42,8 @@ from .diagram import (
 )
 from .errors import StructureError
 from .homology import SlopeShape, slope_pair_classify
+
+__all__ = list(_EXPORTS["labeling"])
 
 H_KINDS = ("h1", "h2")
 CUT_KINDS = ("k1", "k2", "em")
@@ -553,24 +556,3 @@ def annulus_from_json_dict(data: dict) -> AnnulusDiagram:
             labels.append(None)
     base = diagram_from_json_dict({"nodes": data.get("nodes", []), "edges": plain_edges})
     return AnnulusDiagram.build(base, labels)
-
-
-__all__ = [
-    "AnnulusDiagram",
-    "CatalogEntry",
-    "EdgeLabel",
-    "Fact",
-    "GroupBound",
-    "SymmetryBounds",
-    "annulus_from_json_dict",
-    "annulus_to_json_dict",
-    "derived_facts",
-    "format_annulus",
-    "is_fourone",
-    "label_catalog",
-    "labeled_isomorphic",
-    "parse_annulus",
-    "parse_label",
-    "symmetry_bounds",
-    "validate_labels",
-]

@@ -25,11 +25,14 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
 from .diagram import CharDiagram, Node, NodeKind, Violation
 from .errors import ContradictionError, StructureError
 
 if TYPE_CHECKING:  # imported where used: only a looped code's prediction needs labels
     from .labeling import AnnulusDiagram, EdgeLabel
+
+__all__ = [*_EXPORTS["spatial"], "ContradictionError"]
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_+-]+$")
 _SIGNS = {"sign=+": 1, "sign=-": -1}
@@ -522,16 +525,8 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
     if prov is not None and prov.origin == "looping":
         prov = replace(prov, loopings=prov.loopings + 1, looping_kind=kind)
     else:
-        prov = Provenance(
-            origin="looping",
-            source_kind=g.kind,
-            looping_kind=kind,
-            loopings=1,
-            family=prov.family if prov else None,
-            n=prov.n if prov else None,
-            variant=prov.variant if prov else None,
-            mirror=prov.mirror if prov else False,
-        )
+        prov = replace(prov or Provenance("family"), origin="looping", source_kind=g.kind,
+                       looping_kind=kind, loopings=1)
 
     result = SpatialGraphCode("handcuff", tuple(new_vertices), tuple(new_edges),
                               crossings, prov)
@@ -1204,35 +1199,3 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
         variant=meta.get("variant"),
         mirror=meta.get("mirror") == "true",
     )
-
-
-__all__ = [
-    "AnnulusPrediction",
-    "ContradictionError",
-    "Crossing",
-    "EdgeCode",
-    "FactSet",
-    "GraphClass",
-    "Pass",
-    "Provenance",
-    "SpatialGraphCode",
-    "Transition",
-    "Unclassified",
-    "VertexCode",
-    "classify_atoroidal",
-    "closed_braid",
-    "constituent_links",
-    "family_odd_ringed",
-    "family_torus_link",
-    "format_code",
-    "linking_number",
-    "loop_at",
-    "looping_kind",
-    "looping_transition",
-    "mirror_code",
-    "parse_code",
-    "predicted_annulus",
-    "resolve_end",
-    "type_three_two_linking_test",
-    "validate_code",
-]

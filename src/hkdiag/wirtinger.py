@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import _EXPORTS
 from .errors import StructureError
 from .homology import AbelianGroup, IntMatrix, LaurentPoly, LoopClass, smith_normal_form
 from .homology import bareiss_det
@@ -31,6 +32,8 @@ from .spatial import (
     constituent_links,
     linking_number,
 )
+
+__all__ = list(_EXPORTS["wirtinger"])
 
 
 @dataclass(frozen=True)
@@ -263,16 +266,3 @@ def attach_evidence(g: SpatialGraphCode, facts: FactSet, invariants=None) -> Fac
         if delta != one:
             facts.set(f"knot-trivial:{name}", False, "computed")
     return facts
-
-
-__all__ = [
-    "EdgeWalk",
-    "Meridian",
-    "MeridianMap",
-    "UnderPassWord",
-    "alexander_polynomial",
-    "attach_evidence",
-    "constituent_invariants",
-    "h1_complement",
-    "loop_class",
-]

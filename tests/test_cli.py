@@ -285,6 +285,18 @@ class ExitCodeTests(unittest.TestCase):
         self.assertIn("error: cannot write", err)
         self.assertNotIn("Traceback", err)
 
+    def test_file_that_is_not_utf8_exits_2(self):
+        bad = Path(self.tmp.name) / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        for argv in (["validate"], ["classify"], ["symmetry"], ["analyze"],
+                     ["linking", "--components", "a,b"],
+                     ["loop", "--vertex", "u", "--pair", "a,b"]):
+            with self.subTest(command=argv[0]):
+                code, out, err = run([*argv, str(bad)])
+                self.assertEqual(code, 2)
+                self.assertIn(f"cannot read {bad}: not UTF-8 text", out + err)
+                self.assertNotIn("Traceback", err)
+
 
 class BuilderTests(unittest.TestCase):
     def setUp(self):

@@ -84,7 +84,6 @@ class ImportGraphTests(unittest.TestCase):
 
     def test_bare_package_and_cli_load_no_layer(self):
         out = fresh_python(LOADED + (
-            "import json\n"
             "import hkdiag\n"
             "steps = [loaded()]\n"
             "try:\n"
@@ -94,14 +93,17 @@ class ImportGraphTests(unittest.TestCase):
             "steps.append(loaded())\n"
             "from hkdiag import cli\n"
             "steps.append(loaded())\n"
+            "steps.append('json' in sys.modules)\n"
             "steps.append(hkdiag.spatial.__name__)\n"
+            "import json\n"
             "print(json.dumps(steps))\n"
         ))
-        bare, missing, after_miss, with_cli, spatial_name = json.loads(out)
+        bare, missing, after_miss, with_cli, json_loaded, spatial_name = json.loads(out)
         self.assertEqual(bare, ["hkdiag"])
         self.assertIn("no_such_name", missing)
         self.assertEqual(after_miss, ["hkdiag"])
         self.assertEqual(with_cli, CLI)
+        self.assertFalse(json_loaded)
         self.assertEqual(spatial_name, "hkdiag.spatial")
 
     def test_diagram_commands_load_diagram_and_labeling(self):

@@ -32,6 +32,13 @@ def test_exported_names_are_pinned():
     assert sorted(hkdiag.__all__) == hkdiag.__all__
     assert set(hkdiag.__all__) == EXPORTED
     assert len(hkdiag.__all__) == len(EXPORTED)
+    # each layer exports its own table entry; diagram and spatial also
+    # re-export the shared error each of them raises
+    re_exports = {diagram: {"StructureError"}, spatial: {"ContradictionError"}}
     for module in (diagram, homology, labeling, spatial, wirtinger):
+        layer = module.__name__.rpartition(".")[2]
+        expected = set(hkdiag._EXPORTS[layer]) | re_exports.get(module, set())
+        assert set(module.__all__) == expected, layer
+        assert len(module.__all__) == len(expected), layer
         for name in module.__all__:
             assert getattr(hkdiag, name) is getattr(module, name), name

@@ -458,6 +458,19 @@ def test_h1_bad_input_raises_structure_error(call):
         call(family_torus_link(3, tunnel=True))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Pass("x1", "sideways"),
+    lambda: Crossing("x1", 0),
+    lambda: Crossing("x1", 2),
+    lambda: EdgeCode("a", "u", None),
+    lambda: EdgeCode("a", None, "v"),
+], ids=["pass-position", "crossing-sign-zero", "crossing-sign-two", "edge-head-missing",
+        "edge-tail-missing"])
+def test_code_parts_check_their_fields(build):
+    with pytest.raises(StructureError):
+        build()
+
+
 def bundled_spine():
     return parse_code(resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text())
 
