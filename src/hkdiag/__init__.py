@@ -32,9 +32,8 @@ _EXPORTS = {
     "errors": ("ContradictionError", "StructureError"),
     "diagram": (
         "CharDiagram", "DiagramType", "Node", "NodeKind", "Violation", "are_isomorphic",
-        "canonical_form", "classify_type", "diagram_from_json_dict", "diagram_to_json_dict",
-        "enumerate_valid", "format_diagram", "parse_diagram", "realization_status",
-        "solid_base_annotation", "validate",
+        "canonical_form", "classify_type", "diagram_to_json_dict", "enumerate_valid",
+        "realization_status", "solid_base_annotation", "validate",
     ),
     "homology": (
         "AbelianGroup", "INFINITE", "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass",
@@ -44,8 +43,8 @@ _EXPORTS = {
     ),
     "labeling": (
         "AnnulusDiagram", "CatalogEntry", "EdgeLabel", "Fact", "GroupBound", "SymmetryBounds",
-        "annulus_from_json_dict", "annulus_to_json_dict", "derived_facts", "format_annulus",
-        "is_fourone", "label_catalog", "labeled_isomorphic", "parse_annulus", "parse_label",
+        "annulus_to_json_dict", "derived_facts", "format_annulus", "is_fourone",
+        "label_catalog", "labeled_isomorphic", "parse_annulus", "parse_label",
         "symmetry_bounds", "validate_labels",
     ),
     "spatial": (

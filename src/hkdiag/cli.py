@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -110,6 +109,8 @@ def _cmd_enumerate(args) -> int:
     report = _FileReport("enumerate")
     del report.data["file"]
     if args.labels:
+        if args.drop_bigon_rule:
+            raise StructureError("--drop-bigon-rule applies to the diagram classes, not to --labels")
         from . import labeling
 
         entries = labeling.label_catalog()
@@ -249,17 +250,6 @@ def _cmd_loop(args) -> int:
     return EXIT_OK
 
 
-def _data_text(name: str) -> str:
-    override = os.environ.get("HKDIAG_DATA")
-    if override:
-        candidate = Path(override) / name
-        if candidate.exists():
-            return candidate.read_text()
-    from importlib import resources
-
-    return resources.files("hkdiag").joinpath("data", name).read_text()
-
-
 def _cmd_family(args) -> int:
     from . import spatial
 
@@ -272,7 +262,10 @@ def _cmd_family(args) -> int:
             raise StructureError("odd-ringed needs --n")
         g = spatial.family_odd_ringed(args.n, ring=args.ring, mirror=args.mirror)
     else:
-        g = spatial.parse_code(_data_text("spine_5_2.txt"))
+        from importlib import resources
+
+        g = spatial.parse_code(
+            resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text(encoding="utf-8"))
         if args.mirror:
             g = spatial.mirror_code(g)
     _write_code(spatial.format_code(g), args.out, args.format)

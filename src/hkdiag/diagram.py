@@ -357,78 +357,9 @@ def _enumerate_valid(single_bigon_rule: bool) -> tuple[CharDiagram, ...]:
     return tuple(sorted(found.values(), key=lambda d: classify_type(d).as_tuple()))
 
 
-# --- text and JSON formats ---------------------------------------------------
-
-
-def _parse_lines(text: str) -> tuple[CharDiagram, dict[int, tuple[str, int]]]:
-    """Shared line-level parser.
-
-    Returns the diagram together with raw label tokens keyed by edge index
-    (token, line number); label syntax itself is the labeling module's
-    business.
-    """
-    nodes: list[Node] = []
-    node_ids: set[str] = set()
-    edges: list[tuple[str, str, int]] = []  # endpoints and line
-    labels: dict[int, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "node":
-            if len(parts) not in (3, 4):
-                raise StructureError("node line needs: node <id> <solid|hollow> [genus=<n>]", lineno)
-            genus = None
-            if len(parts) == 4:
-                if not parts[3].startswith("genus="):
-                    raise StructureError(f"unexpected token {parts[3]!r}", lineno)
-                try:
-                    genus = int(parts[3][len("genus="):])
-                except ValueError:
-                    raise StructureError("genus must be an integer", lineno) from None
-            try:
-                kind = NodeKind(parts[2])
-            except ValueError:
-                raise StructureError(f"unknown node kind {parts[2]!r}", lineno) from None
-            if parts[1] in node_ids:
-                raise StructureError("duplicate node id", lineno)
-            node_ids.add(parts[1])
-            nodes.append(Node(parts[1], kind, genus))
-        elif parts[0] == "edge":
-            if len(parts) not in (3, 4):
-                raise StructureError("edge line needs: edge <id> <id> [label=<label>]", lineno)
-            if len(parts) == 4:
-                if not parts[3].startswith("label="):
-                    raise StructureError(f"unexpected token {parts[3]!r}", lineno)
-                labels[len(edges)] = (parts[3][len("label="):], lineno)
-            edges.append((parts[1], parts[2], lineno))
-        else:
-            raise StructureError(f"unknown directive {parts[0]!r}", lineno)
-    for a, b, lineno in edges:
-        for end in (a, b):
-            if end not in node_ids:
-                raise StructureError(f"edge endpoint {end!r} is not a node", lineno)
-    return CharDiagram.build(nodes, [(a, b) for a, b, _ in edges]), labels
-
-
-def parse_diagram(text: str) -> CharDiagram:
-    """Parse the plain text format; labeled edges are rejected here."""
-    diagram, labels = _parse_lines(text)
-    if labels:
-        lineno = next(iter(labels.values()))[1]
-        raise StructureError("edge labels are not allowed in an unlabeled diagram", lineno)
-    return diagram
-
-
-def format_diagram(d: CharDiagram) -> str:
-    lines = []
-    for n in d.nodes:
-        suffix = f" genus={n.genus}" if n.genus is not None else ""
-        lines.append(f"node {n.id} {n.kind.value}{suffix}")
-    for a, b in d.edges:
-        lines.append(f"edge {a} {b}")
-    return "\n".join(lines) + "\n"
+# --- JSON -----------------------------------------------------------------------
+# The text format of diagram files, plain or labeled, is read and written by
+# labeling.parse_annulus and labeling.format_annulus.
 
 
 def diagram_to_json_dict(d: CharDiagram) -> dict:
@@ -438,15 +369,3 @@ def diagram_to_json_dict(d: CharDiagram) -> dict:
         ],
         "edges": [[a, b] for a, b in d.edges],
     }
-
-
-def diagram_from_json_dict(data: dict) -> CharDiagram:
-    try:
-        nodes = [
-            Node(str(n["id"]), NodeKind(n["kind"]), n.get("genus"))
-            for n in data["nodes"]
-        ]
-        edges = [(str(a), str(b)) for a, b in data["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"malformed diagram object: {exc}") from exc
-    return CharDiagram.build(nodes, edges)

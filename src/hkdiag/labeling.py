@@ -30,15 +30,15 @@ from . import _EXPORTS
 from .diagram import (
     CharDiagram,
     DiagramType,
+    Node,
+    NodeKind,
     Violation,
     canonical_form,
     classify_type,
     diagram_to_json_dict,
-    diagram_from_json_dict,
     enumerate_valid,
     realization_status,
     solid_base_annotation,
-    _parse_lines,
 )
 from .errors import StructureError
 from .homology import SlopeShape, slope_pair_classify
@@ -483,22 +483,71 @@ def label_catalog() -> tuple[CatalogEntry, ...]:
     return tuple(entries)
 
 
-# --- text and JSON for labeled diagrams ---------------------------------------
+# --- the text format and JSON ---------------------------------------------------
 
 
 def parse_annulus(text: str) -> AnnulusDiagram:
-    """Parse the text format with optional label= attributes per edge."""
-    diagram, raw_labels = _parse_lines(text)
-    labels: list[EdgeLabel | None] = [None] * len(diagram.edges)
-    for index, (token, lineno) in raw_labels.items():
+    """Parse a diagram file: node lines, and edge lines with an optional label=.
+
+    This is the one reader of the format; a plain diagram is
+    `parse_annulus(text).base`. Of several defects the first reported is a
+    line-level one in file order, then an edge endpoint that names no node,
+    then a bad label token in edge order.
+    """
+    nodes: list[Node] = []
+    node_ids: set[str] = set()
+    edges: list[tuple[str, str, int, str | None]] = []  # endpoints, line, label token
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "node":
+            if len(parts) not in (3, 4):
+                raise StructureError("node line needs: node <id> <solid|hollow> [genus=<n>]", lineno)
+            genus = None
+            if len(parts) == 4:
+                if not parts[3].startswith("genus="):
+                    raise StructureError(f"unexpected token {parts[3]!r}", lineno)
+                try:
+                    genus = int(parts[3][len("genus="):])
+                except ValueError:
+                    raise StructureError("genus must be an integer", lineno) from None
+            try:
+                kind = NodeKind(parts[2])
+            except ValueError:
+                raise StructureError(f"unknown node kind {parts[2]!r}", lineno) from None
+            if parts[1] in node_ids:
+                raise StructureError("duplicate node id", lineno)
+            node_ids.add(parts[1])
+            nodes.append(Node(parts[1], kind, genus))
+        elif parts[0] == "edge":
+            if len(parts) not in (3, 4):
+                raise StructureError("edge line needs: edge <id> <id> [label=<label>]", lineno)
+            token = None
+            if len(parts) == 4:
+                if not parts[3].startswith("label="):
+                    raise StructureError(f"unexpected token {parts[3]!r}", lineno)
+                token = parts[3][len("label="):]
+            edges.append((parts[1], parts[2], lineno, token))
+        else:
+            raise StructureError(f"unknown directive {parts[0]!r}", lineno)
+    for a, b, lineno, _ in edges:
+        for end in (a, b):
+            if end not in node_ids:
+                raise StructureError(f"edge endpoint {end!r} is not a node", lineno)
+    labels: list[EdgeLabel | None] = []
+    for _, _, lineno, token in edges:
         try:
-            labels[index] = parse_label(token)
+            labels.append(None if token is None else parse_label(token))
         except ValueError as exc:
             raise StructureError(str(exc), lineno) from exc
-    return AnnulusDiagram.build(diagram, labels)
+    return AnnulusDiagram.build(CharDiagram.build(nodes, [(a, b) for a, b, _, _ in edges]), labels)
 
 
 def format_annulus(ad: AnnulusDiagram) -> str:
+    """The one writer of the format; a plain diagram d is written as
+    `format_annulus(AnnulusDiagram.unlabeled(d))`."""
     lines = []
     for n in ad.base.nodes:
         suffix = f" genus={n.genus}" if n.genus is not None else ""
@@ -520,20 +569,6 @@ def _label_to_json(lab: EdgeLabel | None):
     return data
 
 
-def _label_from_json(data) -> EdgeLabel | None:
-    if data is None:
-        return None
-    kind = data.get("kind")
-    if kind == "k2":
-        return EdgeLabel.k2(Fraction(data["slope"]))
-    if kind == "l":
-        r1, r2 = (Fraction(s) for s in data["slopes"])
-        return EdgeLabel.l(r1, r2)
-    if kind in ("h1", "h2", "k1", "l0", "em"):
-        return EdgeLabel(kind)
-    raise StructureError(f"unknown label kind {kind!r}")
-
-
 def annulus_to_json_dict(ad: AnnulusDiagram) -> dict:
     data = diagram_to_json_dict(ad.base)
     data["edges"] = [
@@ -541,18 +576,3 @@ def annulus_to_json_dict(ad: AnnulusDiagram) -> dict:
         for e, lab in zip(ad.base.edges, ad.labels)
     ]
     return data
-
-
-def annulus_from_json_dict(data: dict) -> AnnulusDiagram:
-    edges_field = data.get("edges", [])
-    plain_edges = []
-    labels = []
-    for item in edges_field:
-        if isinstance(item, dict):
-            plain_edges.append(item["ends"])
-            labels.append(_label_from_json(item.get("label")))
-        else:
-            plain_edges.append(item)
-            labels.append(None)
-    base = diagram_from_json_dict({"nodes": data.get("nodes", []), "edges": plain_edges})
-    return AnnulusDiagram.build(base, labels)

@@ -1189,6 +1189,9 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
     n = _meta_int(meta, lines, "n")
     if n is not None and n < 2:
         raise StructureError(f"meta n must be at least 2, got {n}", lines["n"])
+    if meta.get("mirror", "false") not in ("true", "false"):
+        raise StructureError(
+            f"meta mirror must be true or false, got {meta['mirror']!r}", lines["mirror"])
     return Provenance(
         origin=meta["origin"],
         source_kind=meta.get("source-kind"),

@@ -69,6 +69,12 @@ class EnumerateTests(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertEqual(json.loads(out)["count"], 14)
 
+    def test_labels_refuse_the_bigon_flag(self):
+        code, out, err = run(["enumerate", "--labels", "--drop-bigon-rule"])
+        self.assertEqual((code, out), (2, ""))
+        self.assertEqual(
+            err, "error: --drop-bigon-rule applies to the diagram classes, not to --labels\n")
+
     def test_label_catalog(self):
         code, out, _ = run(["enumerate", "--labels", "--format", "json"])
         self.assertEqual(code, 0)
@@ -750,6 +756,9 @@ class MalformedCodeTests(unittest.TestCase):
             "graph handcuff\nvertex u ends a.0 a.1 t.0\nvertex v ends b.0 b.1 t.1\n"
             "edge a loop from u to u\nedge b loop from v to v\nedge t from u to v\n"
             "pass a x1 over sign=+\npass b x1 under sign=+\n", 8),
+        "mirror meta neither true nor false": (
+            resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()
+            .replace("family=spine-5-2", "family=spine-5-2 mirror=yes"), 23),
     }
 
     def test_every_command_names_the_line(self):
@@ -1169,25 +1178,6 @@ class OneShotTests(unittest.TestCase):
             code, out, err = self.one_shot("loop", link, "--vertex", "u", "--pair", "a.0,a.1")
             self.assertEqual((code, out), (1, ""))
             self.assertTrue(err.startswith("rejected: "), err)
-
-
-class DataOverrideTests(unittest.TestCase):
-    def test_spine_respects_data_dir_override(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            alt = Path(tmp) / "spine_5_2.txt"
-            alt.write_text("graph link\nedge k\nmeta origin=family\n")
-            old = os.environ.get("HKDIAG_DATA")
-            os.environ["HKDIAG_DATA"] = tmp
-            try:
-                code, out, _ = run(["family", "spine-5-2"])
-            finally:
-                if old is None:
-                    del os.environ["HKDIAG_DATA"]
-                else:
-                    os.environ["HKDIAG_DATA"] = old
-            self.assertEqual(code, 0)
-            self.assertIn("graph link", out)
-            self.assertNotIn("graph theta", out)
 
 
 if __name__ == "__main__":

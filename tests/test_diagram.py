@@ -16,11 +16,7 @@ from hkdiag.diagram import (
     are_isomorphic,
     canonical_form,
     classify_type,
-    diagram_from_json_dict,
-    diagram_to_json_dict,
     enumerate_valid,
-    format_diagram,
-    parse_diagram,
     realization_status,
     solid_base_annotation,
     validate,
@@ -217,55 +213,6 @@ def test_canonical_form_decides_isomorphism(d1, d2):
 def test_validate_is_relabeling_invariant(d):
     other = _relabeled(d, random.Random(0))
     assert sorted(v.code for v in validate(d)) == sorted(v.code for v in validate(other))
-
-
-# --- formats -------------------------------------------------------------------
-
-
-def test_text_round_trip():
-    for d in enumerate_valid():
-        assert parse_diagram(format_diagram(d)) == d
-
-
-def test_json_round_trip():
-    for d in enumerate_valid():
-        assert diagram_from_json_dict(diagram_to_json_dict(d)) == d
-
-
-def test_parse_reports_line_numbers():
-    text = "node v hollow genus=2\nedge v w\n"
-    with pytest.raises(StructureError) as err:
-        parse_diagram(text)
-    assert "w" in str(err.value)
-    assert err.value.line == 2
-
-
-def test_parse_names_the_line_of_a_repeated_node():
-    with pytest.raises(StructureError) as err:
-        parse_diagram("node v hollow genus=2\nedge v v\nnode v solid\n")
-    assert str(err.value) == "line 3: duplicate node id"
-
-
-def test_parse_reads_nodes_declared_after_their_edges():
-    d = parse_diagram("edge v s\nnode v solid genus=2\nnode s solid\n")
-    assert d.edges == (("s", "v"),)
-
-
-def test_parse_rejects_unknown_directive():
-    with pytest.raises(StructureError) as err:
-        parse_diagram("vertex v hollow\n")
-    assert err.value.line == 1
-
-
-def test_parse_rejects_bad_genus():
-    with pytest.raises(StructureError):
-        parse_diagram("node v hollow genus=two\n")
-
-
-def test_parse_skips_comments_and_blanks():
-    text = "# a diagram\n\nnode v hollow genus=2\nedge v v # loop\n"
-    d = parse_diagram(text)
-    assert classify_type(d).as_tuple() == (1, 1, 0, "hollow")
 
 
 # --- the per-diagram index --------------------------------------------------------

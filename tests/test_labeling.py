@@ -8,14 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from iso_oracle import brute_force_isomorphic
 
-from hkdiag.diagram import CharDiagram, Node, NodeKind, canonical_form, classify_type
+from hkdiag.diagram import (
+    CharDiagram,
+    Node,
+    NodeKind,
+    StructureError,
+    canonical_form,
+    classify_type,
+    enumerate_valid,
+)
 from hkdiag.labeling import (
     AnnulusDiagram,
     EdgeLabel,
     GroupBound,
     SymmetryBounds,
-    annulus_from_json_dict,
-    annulus_to_json_dict,
     derived_facts,
     format_annulus,
     is_fourone,
@@ -354,12 +360,77 @@ def test_text_round_trip(catalog):
         assert parse_annulus(format_annulus(e.diagram)) == e.diagram
 
 
-def test_json_round_trip(catalog):
-    for e in catalog[:20]:
-        assert annulus_from_json_dict(annulus_to_json_dict(e.diagram)) == e.diagram
+def test_plain_text_round_trip():
+    for d in enumerate_valid():
+        ad = AnnulusDiagram.unlabeled(d)
+        assert parse_annulus(format_annulus(ad)) == ad
 
 
 def test_parse_annulus_accepts_plain_diagram():
     ad = parse_annulus("node v hollow genus=2\nedge v v\n")
     assert ad.labels == (None,)
+    assert classify_type(ad.base).as_tuple() == (1, 1, 0, "hollow")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("node v\n", 1, "node line needs: node <id> <solid|hollow> [genus=<n>]"),
+        ("node v hollow g=2\n", 1, "unexpected token 'g=2'"),
+        ("node v hollow genus=two\n", 1, "genus must be an integer"),
+        ("node v round genus=2\n", 1, "unknown node kind 'round'"),
+        ("node v hollow genus=2\nedge v v\nnode v solid\n", 3, "duplicate node id"),
+        ("node v hollow genus=2\nedge v\n", 2, "edge line needs: edge <id> <id> [label=<label>]"),
+        ("node v hollow genus=2\nedge v v lab=h1\n", 2, "unexpected token 'lab=h1'"),
+        ("node v hollow genus=2\nedge v v label=k2(1)\n", 2,
+         "k2 slope must be nonzero and never a reciprocal of an integer, got 1"),
+        ("vertex v hollow\n", 1, "unknown directive 'vertex'"),
+        ("node v hollow genus=2\nedge v w\n", 2, "edge endpoint 'w' is not a node"),
+        # two defects: a line-level defect is reported before an earlier
+        # dangling endpoint, and a dangling endpoint before an earlier bad label
+        ("node v hollow genus=2\nedge v w\nvertex v\n", 3, "unknown directive 'vertex'"),
+        ("node v hollow genus=2\nedge v v label=h3\nedge v w\n", 3,
+         "edge endpoint 'w' is not a node"),
+    ],
+)
+def test_parse_annulus_errors_name_their_line(text, line, message):
+    with pytest.raises(StructureError) as err:
+        parse_annulus(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parse_reports_line_numbers():
+    text = "node v hollow genus=2\nedge v w\n"
+    with pytest.raises(StructureError) as err:
+        parse_annulus(text)
+    assert "w" in str(err.value)
+    assert err.value.line == 2
+
+
+def test_parse_names_the_line_of_a_repeated_node():
+    with pytest.raises(StructureError) as err:
+        parse_annulus("node v hollow genus=2\nedge v v\nnode v solid\n")
+    assert str(err.value) == "line 3: duplicate node id"
+
+
+def test_parse_reads_nodes_declared_after_their_edges():
+    ad = parse_annulus("edge v s\nnode v solid genus=2\nnode s solid\n")
+    assert ad.base.edges == (("s", "v"),)
+
+
+def test_parse_rejects_unknown_directive():
+    with pytest.raises(StructureError) as err:
+        parse_annulus("vertex v hollow\n")
+    assert err.value.line == 1
+
+
+def test_parse_rejects_bad_genus():
+    with pytest.raises(StructureError):
+        parse_annulus("node v hollow genus=two\n")
+
+
+def test_parse_skips_comments_and_blanks():
+    text = "# a diagram\n\nnode v hollow genus=2\nedge v v # loop\n"
+    ad = parse_annulus(text)
     assert classify_type(ad.base).as_tuple() == (1, 1, 0, "hollow")

@@ -11,16 +11,16 @@ EXPORTED = {
     "MeridianMap", "Node", "NodeKind", "Pass", "Provenance", "SlopeShape",
     "SpatialGraphCode", "StructureError", "SymmetryBounds", "Transition",
     "Unclassified", "UnderPassWord", "VertexCode", "Violation", "alexander_polynomial",
-    "annulus_from_json_dict", "annulus_to_json_dict", "are_isomorphic",
+    "annulus_to_json_dict", "are_isomorphic",
     "attach_evidence", "bareiss_det", "canonical_form", "classify_atoroidal",
     "classify_type", "closed_braid", "constituent_invariants", "constituent_links",
-    "derived_facts", "diagram_from_json_dict",
+    "derived_facts",
     "diagram_to_json_dict", "enumerate_valid", "family_odd_ringed", "family_torus_link",
-    "format_annulus", "format_code", "format_diagram", "h1_complement",
+    "format_annulus", "format_code", "h1_complement",
     "invariant_factors_of", "is_fourone", "klein_case_group", "label_catalog",
     "labeled_isomorphic", "linking_number", "loop_at", "loop_class",
     "looping_kind", "looping_transition", "meridional_pair_predict", "mirror_code",
-    "parse_annulus", "parse_code", "parse_diagram", "parse_label", "predicted_annulus",
+    "parse_annulus", "parse_code", "parse_label", "predicted_annulus",
     "primitivity_necessary", "realization_status", "resolve_end", "slope_pair_classify",
     "smith_normal_form", "solid_base_annotation", "subgroup_index", "symmetry_bounds",
     "type_three_two_linking_test", "validate", "validate_code", "validate_labels",
