@@ -325,9 +325,9 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
     report.say(f"file: {report.path}")
     report.say(f"kind: {g.kind}, {len(g.edges)} edges, {len(g.crossings)} crossings")
     if g.provenance is not None:
-        summary = " ".join(f"{k}={v}" for k, v in spatial._prov_items(g.provenance))
-        report.data["provenance"] = dict(spatial._prov_items(g.provenance))
-        report.say(f"provenance: {summary}")
+        items = g.provenance.meta_items()
+        report.data["provenance"] = dict(items)
+        report.say("provenance: " + " ".join(f"{k}={v}" for k, v in items))
 
     report.data["violations"] = []  # parse_code refuses violations; kept for scripts
 

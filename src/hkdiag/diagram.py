@@ -76,8 +76,9 @@ class CharDiagram:
 
     Edges are stored as endpoint pairs in input order, each pair sorted by
     node id; parallel edges simply repeat. Structural sanity (no dangling
-    endpoints, no duplicate ids) is enforced at construction, the domain
-    constraints are checked by `validate`.
+    endpoints, no duplicate ids, each id one token without `#`, as the file
+    format reads it) is enforced at construction, the domain constraints
+    are checked by `validate`.
     """
 
     nodes: tuple[Node, ...]
@@ -85,6 +86,9 @@ class CharDiagram:
 
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
+        for i in ids:
+            if i.split() != [i] or "#" in i:
+                raise StructureError(f"node id {i!r} is not one token without '#'")
         if len(set(ids)) != len(ids):
             raise StructureError("duplicate node id")
         known = set(ids)

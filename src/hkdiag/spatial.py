@@ -10,9 +10,11 @@ On top of the codes this module implements the operations the theory calls
 for: extracting constituent knots and links, exact linking numbers, the
 looping rewrite that replaces a trivalent vertex by an encircling ring, the
 classification bookkeeping for atoroidal graphs, the transition table under
-looping, annulus predictions for looped graphs, and the two families used
-as running examples (closed 2-braid links with a tunnel, and their ringed
-odd companions).
+looping (one table of targets), annulus predictions for looped graphs (each
+pinned diagram is annulus-file text read by `labeling.parse_annulus`), and
+the two families used as running examples (closed 2-braid links with a
+tunnel, and their ringed odd companions). A code's `Provenance` gives the
+key=value pairs of its `meta` line with `meta_items`.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from . import _EXPORTS
-from .diagram import CharDiagram, Node, NodeKind, Violation
+from .diagram import Violation
 from .errors import ContradictionError, StructureError
 
 if TYPE_CHECKING:  # imported where used: only a looped code's prediction needs labels
-    from .labeling import AnnulusDiagram, EdgeLabel
+    from .labeling import AnnulusDiagram
 
 __all__ = [*_EXPORTS["spatial"], "ContradictionError"]
 
@@ -105,6 +107,25 @@ class Provenance:
     n: int | None = None
     variant: str | None = None
     mirror: bool = False
+
+    def meta_items(self) -> list[tuple[str, str]]:
+        """The key=value pairs of this provenance's `meta` line, in field order.
+
+        A key is its field's name with - for _. A field that is None, no
+        loopings and no mirror are left out; a mirror is written mirror=true.
+        """
+        out = []
+        for key, name in _META_KEYS.items():
+            value = getattr(self, name)
+            if name == "mirror":
+                value = "true" if value else None
+            if value is not None and not (name == "loopings" and value == 0):
+                out.append((key, str(value)))
+        return out
+
+
+# `meta` key -> Provenance field name, in field order.
+_META_KEYS = {f.name.replace("_", "-"): f.name for f in fields(Provenance)}
 
 
 @dataclass(frozen=True)
@@ -540,9 +561,13 @@ def looping_kind(g: SpatialGraphCode, pair: tuple[tuple[str, int], tuple[str, in
 
     Splicing the two non-tunnel edges is the tunnel looping; a splice that
     consumes the tunnel is a knot looping. Without a designated tunnel, or
-    on a handcuff graph, the looping is plain.
+    on a handcuff graph, the looping is plain. A tunnel edge the code does
+    not have raises StructureError.
     """
-    if tunnel_edge is None or g.kind != "theta":
+    if tunnel_edge is None:
+        return "plain"
+    g.edge(tunnel_edge)
+    if g.kind != "theta":
         return "plain"
     spliced = {pair[0][0], pair[1][0]}
     if tunnel_edge in spliced:
@@ -700,6 +725,13 @@ class Transition:
     note: str | None = None
 
 
+# Where looping sends each class; a knot looping of tau3 lands in h4 only.
+_LOOPING_TARGETS = {
+    "tau1": ("h3",), "tau2": ("h4",), "tau3": ("h3", "h4"), "tau4": ("h4",),
+    "h1": ("h1",), "h2": ("h2",), "h3": ("h2",), "h4": ("h2",),
+}
+
+
 def looping_transition(source: GraphClass, kind: str = "plain") -> Transition:
     """Where looping can send each class of atoroidal graph.
 
@@ -711,20 +743,11 @@ def looping_transition(source: GraphClass, kind: str = "plain") -> Transition:
     if kind not in ("plain", "tunnel", "knot"):
         raise ValueError(f"unknown looping kind {kind!r}")
     code = source.code
-    if code == "tau1":
-        return Transition(source, "any", (GraphClass("h3"),),
-                          "the looped graph carries the handlebody-knot 2_1")
-    if code == "tau2":
-        return Transition(source, "any", (GraphClass("h4"),))
     if code == "tau3":
-        if kind == "knot":
-            return Transition(source, "knot", (GraphClass("h4"),))
-        return Transition(source, kind, (GraphClass("h3"), GraphClass("h4")))
-    if code == "tau4":
-        return Transition(source, "any", (GraphClass("h4"),))
-    if code == "h1":
-        return Transition(source, "any", (GraphClass("h1"),))
-    return Transition(source, "any", (GraphClass("h2"),))
+        targets = ("h4",) if kind == "knot" else _LOOPING_TARGETS[code]
+        return Transition(source, kind, tuple(map(GraphClass, targets)))
+    note = "the looped graph carries the handlebody-knot 2_1" if code == "tau1" else None
+    return Transition(source, "any", tuple(map(GraphClass, _LOOPING_TARGETS[code])), note)
 
 
 def type_three_two_linking_test(lk: int) -> bool:
@@ -737,32 +760,10 @@ def type_three_two_linking_test(lk: int) -> bool:
 # --- annulus predictions --------------------------------------------------------
 
 
-def _diag_loop(label: EdgeLabel) -> AnnulusDiagram:
-    from .labeling import AnnulusDiagram
-
-    base = CharDiagram.build([Node("v", NodeKind.HOLLOW, 2)], [("v", "v")])
-    return AnnulusDiagram.build(base, [label])
-
-
-def _diag_loop_with_cut(loop_label: EdgeLabel, cut_label: EdgeLabel) -> AnnulusDiagram:
-    from .labeling import AnnulusDiagram
-
-    base = CharDiagram.build(
-        [Node("v", NodeKind.HOLLOW, 2), Node("s", NodeKind.SOLID)],
-        [("v", "v"), ("v", "s")],
-    )
-    return AnnulusDiagram.build(base, [loop_label, cut_label])
-
-
-def _diag_theta(solid: bool) -> AnnulusDiagram:
-    from .labeling import AnnulusDiagram, EdgeLabel
-
-    kind = NodeKind.SOLID if solid else NodeKind.HOLLOW
-    base = CharDiagram.build(
-        [Node("v", kind, 2), Node("s", NodeKind.SOLID)],
-        [("v", "s"), ("v", "s"), ("v", "s")],
-    )
-    return AnnulusDiagram.build(base, [EdgeLabel.h2(), EdgeLabel.h2(), EdgeLabel.l0()])
+# The pinned ring annulus diagrams as annulus-file text, one slot left to fill.
+_LOOP = "node v hollow genus=2\nedge v v label={}\n"
+_LOOP_WITH_CUT = "node v hollow genus=2\nnode s solid\nedge v v label=h2\nedge v s label={}\n"
+_THETA = "node v {} genus=2\nnode s solid\n" + "edge v s label=h2\n" * 2 + "edge v s label=l0\n"
 
 
 @dataclass(frozen=True)
@@ -791,17 +792,15 @@ def predicted_annulus(g: SpatialGraphCode, facts: FactSet) -> AnnulusPrediction:
     if pv is None or pv.origin != "looping" or pv.loopings < 1:
         return AnnulusPrediction(None, 0, None, None, None, None,
                                  ("the code does not record a looping",))
-    from fractions import Fraction
-
-    from .labeling import EdgeLabel
+    from .labeling import parse_annulus
 
     source_ok = facts.get("atoroidal") is True and facts.get("planar") is False
 
     if pv.loopings >= 2:
         notes = ["two loopings give two non-isotopic ring annuli, both of the second type"]
         if source_ok:
-            return AnnulusPrediction("2-2", 2, None, True, False, _diag_theta(solid=False),
-                                     tuple(notes))
+            return AnnulusPrediction("2-2", 2, None, True, False,
+                                     parse_annulus(_THETA.format("hollow")), tuple(notes))
         notes.append("assert atoroidal and nonplanar on the source to pin the diagram")
         return AnnulusPrediction("2-2", 2, None, None, None, None, tuple(notes))
 
@@ -813,11 +812,11 @@ def predicted_annulus(g: SpatialGraphCode, facts: FactSet) -> AnnulusPrediction:
         if pv.looping_kind == "tunnel" and knot_nontrivial:
             unique = True if facts.get("atoroidal") is True else None
             return AnnulusPrediction(
-                "2-1", 1, True, True, unique, _diag_loop(EdgeLabel.h1()),
+                "2-1", 1, True, True, unique, parse_annulus(_LOOP.format("h1")),
                 ("tunnel looping of a nontrivial knot: the ring annulus unknots the handlebody",))
         if source_ok:
             return AnnulusPrediction(
-                "2-1", 1, None, True, True, _diag_loop(EdgeLabel.h1()),
+                "2-1", 1, None, True, True, parse_annulus(_LOOP.format("h1")),
                 ("the ring annulus is the unique annulus of the first type",))
         return AnnulusPrediction(
             "2-1", 1, None, None, None, None,
@@ -828,21 +827,18 @@ def predicted_annulus(g: SpatialGraphCode, facts: FactSet) -> AnnulusPrediction:
         n = pv.n
         if n == 2:
             return AnnulusPrediction(
-                "2-2", 1, True, True, False, _diag_theta(solid=True),
+                "2-2", 1, True, True, False, parse_annulus(_THETA.format("solid")),
                 ("equivalent to 4_1",
                  "the two annuli of the second type are swapped by a symmetry"))
         if n % 2 == 0:
             return AnnulusPrediction(
                 "2-2", 1, True, True, True,
-                _diag_loop_with_cut(EdgeLabel.h2(), EdgeLabel.k2(Fraction(n, 2))),
+                parse_annulus(_LOOP_WITH_CUT.format(f"k2({n // 2})")),
                 (f"closed 2-braid family with {n} crossings, linking number {n // 2}",))
     if pv.family == "odd-ringed" and pv.variant in ("one", "both"):
-        if pv.variant == "one":
-            diagram = _diag_loop(EdgeLabel.h2())
-        else:
-            diagram = _diag_loop_with_cut(EdgeLabel.h2(), EdgeLabel.k1())
+        diagram = _LOOP.format("h2") if pv.variant == "one" else _LOOP_WITH_CUT.format("k1")
         return AnnulusPrediction(
-            "2-2", 1, True, True, True, diagram,
+            "2-2", 1, True, True, True, parse_annulus(diagram),
             (f"ringed odd family, ring around {pv.variant}",))
 
     nonsplit = facts.get("split") is False
@@ -1009,32 +1005,6 @@ def family_odd_ringed(n: int, ring: str = "one", mirror: bool = False) -> Spatia
 # --- text format ---------------------------------------------------------------
 
 
-_PROV_KEYS = (
-    ("origin", "origin"),
-    ("source-kind", "source_kind"),
-    ("looping-kind", "looping_kind"),
-    ("loopings", "loopings"),
-    ("family", "family"),
-    ("n", "n"),
-    ("variant", "variant"),
-    ("mirror", "mirror"),
-)
-
-
-def _prov_items(pv: Provenance) -> list[tuple[str, str]]:
-    out = []
-    for key, attr in _PROV_KEYS:
-        value = getattr(pv, attr)
-        if value is None or (attr == "loopings" and value == 0):
-            continue
-        if attr == "mirror":
-            if not value:
-                continue
-            value = "true"
-        out.append((key, str(value)))
-    return out
-
-
 def format_code(g: SpatialGraphCode) -> str:
     """Serialize a code in the line-oriented text format."""
     lines = [f"graph {g.kind}"]
@@ -1054,7 +1024,7 @@ def format_code(g: SpatialGraphCode) -> str:
             sign = "+" if signs[p.crossing] == 1 else "-"
             lines.append(f"pass {e.id} {p.crossing} {p.position} sign={sign}")
     if g.provenance is not None:
-        lines.append("meta " + " ".join(f"{k}={v}" for k, v in _prov_items(g.provenance)))
+        lines.append("meta " + " ".join(f"{k}={v}" for k, v in g.provenance.meta_items()))
     return "\n".join(lines) + "\n"
 
 
@@ -1176,9 +1146,8 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
         return None
     if "origin" not in meta:
         raise StructureError("meta needs an origin", min(lines.values()))
-    known = {key for key, _ in _PROV_KEYS}
     for key in meta:
-        if key not in known:
+        if key not in _META_KEYS:
             raise StructureError(f"unknown meta key {key!r}", lines[key])
     if meta["origin"] not in ("family", "looping"):
         raise StructureError(
@@ -1192,13 +1161,6 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
     if meta.get("mirror", "false") not in ("true", "false"):
         raise StructureError(
             f"meta mirror must be true or false, got {meta['mirror']!r}", lines["mirror"])
-    return Provenance(
-        origin=meta["origin"],
-        source_kind=meta.get("source-kind"),
-        looping_kind=meta.get("looping-kind"),
-        loopings=loopings,
-        family=meta.get("family"),
-        n=n,
-        variant=meta.get("variant"),
-        mirror=meta.get("mirror") == "true",
-    )
+    values = {_META_KEYS[key]: value for key, value in meta.items()}
+    values.update(loopings=loopings, n=n, mirror=meta.get("mirror") == "true")
+    return Provenance(**values)

@@ -389,6 +389,11 @@ class BuilderTests(unittest.TestCase):
         code, _, err = run(["loop", src, "--vertex", "zz", "--pair", "a.0,t"])
         self.assertEqual(code, 2)
         self.assertEqual(err, "error: no vertex named 'zz'\n")
+        spine = self.out_path("spine.txt")
+        run(["family", "spine-5-2", "-o", spine])
+        for path, pair in ((spine, "ka,t"), (src, "a.0,t")):
+            code, out, err = run(["loop", path, "--vertex", "u", "--pair", pair, "--tunnel", "zz"])
+            self.assertEqual((code, out, err), (2, "", "error: no edge named 'zz'\n"), path)
 
 
 class LinkingTests(unittest.TestCase):

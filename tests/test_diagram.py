@@ -155,6 +155,13 @@ def test_duplicate_node_id_is_structural():
         CharDiagram.build([Node("v", HOLLOW, 2), Node("v", SOLID)], [])
 
 
+@pytest.mark.parametrize("node_id", ["v#1", "a b", ""])
+def test_node_id_must_be_one_token(node_id):
+    """An id that the file format could not read back is refused."""
+    with pytest.raises(StructureError, match=f"^node id {node_id!r} is not one token"):
+        CharDiagram.build([Node(node_id, HOLLOW, 2)], [(node_id, node_id)])
+
+
 def test_solid_base_annotation_by_degree():
     pants = diagram(SOLID, 3, [("v", "s1"), ("v", "s2"), ("v", "s3")])
     assert solid_base_annotation(pants) == "I-bundle over a pair of pants"

@@ -360,6 +360,22 @@ def test_text_round_trip(catalog):
         assert parse_annulus(format_annulus(e.diagram)) == e.diagram
 
 
+# any id that CharDiagram accepts: one token without '#'
+NODE_IDS = st.text(min_size=1, max_size=6).filter(lambda s: s.split() == [s] and "#" not in s)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(NODE_IDS, min_size=4, max_size=4, unique=True))
+def test_text_round_trip_with_any_node_ids(catalog, ids):
+    for e in catalog:
+        nodes = e.diagram.base.nodes
+        rename = {n.id: new for n, new in zip(nodes, ids)}
+        base = CharDiagram.build([Node(rename[n.id], n.kind, n.genus) for n in nodes],
+                                 [(rename[a], rename[b]) for a, b in e.diagram.base.edges])
+        ad = AnnulusDiagram.build(base, e.diagram.labels)
+        assert parse_annulus(format_annulus(ad)) == ad
+
+
 def test_plain_text_round_trip():
     for d in enumerate_valid():
         ad = AnnulusDiagram.unlabeled(d)

@@ -351,6 +351,9 @@ def test_looping_kind_designation():
     assert looping_kind(g, (ka0, kb1), None) == "plain"
     h = family_torus_link(2, tunnel=True)
     assert looping_kind(h, (("a", 0), ("t", 0)), "t") == "plain"
+    for code, pair in ((g, (ka0, kb1)), (h, (("a", 0), ("t", 0)))):
+        with pytest.raises(StructureError, match="^no edge named 'zz'$"):
+            looping_kind(code, pair, "zz")
 
 
 LOOPING_SOURCES = (
@@ -914,6 +917,33 @@ def test_prediction_double_loop():
 
     unpinned = predicted_annulus(twice, FactSet())
     assert unpinned.diagram is None
+
+
+def test_predicted_diagrams_are_admissible():
+    """Each diagram predicted_annulus pins passes R1-R8 and has the type and
+    label kinds of a catalog entry."""
+    from hkdiag.diagram import classify_type
+    from hkdiag.labeling import label_catalog
+
+    catalog = {(str(e.dtype), e.kinds) for e in label_catalog()}
+    once = tunnel_loop(3)
+    twice = loop_at(once, "v", (resolve_end(once, "v", "ka+kb.0"), resolve_end(once, "v", "t")))
+    looped = [once, twice]
+    looped += [loop_at(family_torus_link(n, tunnel=True), "u", (("a", 0), ("t", 0)), kind="tunnel")
+               for n in (2, 4, 6, 10)]
+    looped += [loop_at(family_odd_ringed(3, ring), "u", (("k", 0), ("t", 0)))
+               for ring in ("one", "both")]
+    seen = []
+    for g in looped:
+        ad = predicted_annulus(g, theta_facts(atoroidal=True, planar=False)).diagram
+        assert ad.violations == ()
+        assert (str(classify_type(ad.base)), ad.label_kinds) in catalog
+        seen.append(f"{classify_type(ad.base)} {{{', '.join(map(str, ad.labels))}}}")
+    assert seen == [
+        "(1,1,0,hollow) {h1}", "(3,0,3,hollow) {h2, h2, l0}", "(3,0,3,solid) {h2, h2, l0}",
+        "(2,1,0,hollow) {h2, k2(2)}", "(2,1,0,hollow) {h2, k2(3)}", "(2,1,0,hollow) {h2, k2(5)}",
+        "(1,1,0,hollow) {h2}", "(2,1,0,hollow) {h2, k1}",
+    ]
 
 
 def test_prediction_generic_nonsplit_tunnel():
