@@ -3,11 +3,11 @@
 The package splits into five layers:
 
 - homology: exact integer linear algebra (Smith normal form, finitely
-  generated abelian groups, loop classes, slope pairs, Laurent polynomials).
+  generated abelian groups, loop classes, Laurent polynomials).
 - diagram: characteristic diagrams of annulus systems, their constraints,
   enumeration and isomorphism.
-- labeling: annulus labels on diagram edges, the admissibility rules, the
-  labeled catalog and the symmetry-bound table.
+- labeling: annulus labels on diagram edges, their slope pairs, the
+  admissibility rules, the labeled catalog and the symmetry-bound table.
 - spatial: diagram codes of theta-curves, handcuff graphs and links, the
   looping rewrite, graph classification and the example families.
 - wirtinger: homology of complements read off a code, meridian coordinates
@@ -37,15 +37,14 @@ _EXPORTS = {
     ),
     "homology": (
         "AbelianGroup", "INFINITE", "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass",
-        "SlopeShape", "bareiss_det", "invariant_factors_of", "klein_case_group",
-        "meridional_pair_predict", "primitivity_necessary", "slope_pair_classify",
-        "smith_normal_form", "subgroup_index",
+        "bareiss_det", "invariant_factors_of", "klein_case_group", "meridional_pair_predict",
+        "primitivity_necessary", "smith_normal_form", "subgroup_index",
     ),
     "labeling": (
-        "AnnulusDiagram", "CatalogEntry", "EdgeLabel", "Fact", "GroupBound", "SymmetryBounds",
-        "annulus_to_json_dict", "derived_facts", "format_annulus", "is_fourone",
-        "label_catalog", "labeled_isomorphic", "parse_annulus", "parse_label",
-        "symmetry_bounds", "validate_labels",
+        "AnnulusDiagram", "CatalogEntry", "EdgeLabel", "Fact", "GroupBound", "SlopeShape",
+        "SymmetryBounds", "annulus_to_json_dict", "derived_facts", "format_annulus",
+        "is_fourone", "label_catalog", "labeled_isomorphic", "parse_annulus", "parse_label",
+        "slope_pair_classify", "symmetry_bounds", "validate_labels",
     ),
     "spatial": (
         "AnnulusPrediction", "Crossing", "EdgeCode", "FactSet", "GraphClass", "Pass",

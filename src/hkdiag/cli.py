@@ -22,10 +22,10 @@ Importing this module loads no layer, only the shared errors; json is
 imported only where JSON is written. Each command imports the layers it
 calls when it runs, so a one-shot command pays start-up only for those:
 enumerate imports diagram; enumerate --labels, validate, classify and
-symmetry import labeling (which loads diagram and homology); loop, family
-and linking import spatial (which loads diagram); analyze imports spatial
-and wirtinger, and spatial loads labeling only for the ring annulus
-prediction of a looped code.
+symmetry import labeling (which loads diagram); loop, family and linking
+import spatial (which loads diagram); analyze imports spatial and wirtinger
+(which loads homology), and spatial loads labeling only for the ring
+annulus prediction of a looped code.
 """
 
 from __future__ import annotations
@@ -307,14 +307,14 @@ def _parse_assertion(token: str, facts) -> None:
         if value not in ("true", "false"):
             raise StructureError(f"assertion {key} needs true or false")
         facts.set(key, value == "true")
+    elif key not in (*_EDGE_FACTS, "trivial-knot", "nontrivial-knot"):
+        raise StructureError(f"unknown assertion key {key!r}")
+    elif not value:
+        raise StructureError(f"assertion {key} needs a value")
     elif key in _EDGE_FACTS:
         facts.set(key, value)
-    elif key == "trivial-knot":
-        facts.set(f"knot-trivial:{value}", True)
-    elif key == "nontrivial-knot":
-        facts.set(f"knot-trivial:{value}", False)
     else:
-        raise StructureError(f"unknown assertion key {key!r}")
+        facts.set(f"knot-trivial:{value}", key == "trivial-knot")
 
 
 def _analyze(report: _FileReport, assertions: list[str]) -> None:

@@ -205,17 +205,12 @@ class CharDiagram:
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
-        """validate of this diagram, with the single-bigon rule on, computed once."""
+        """validate of this diagram, computed once."""
         return tuple(validate(self))
 
 
-def validate(d: CharDiagram, single_bigon_rule: bool = True) -> list[Violation]:
-    """Check the characteristic-diagram constraints; return all violations.
-
-    The `single_bigon_rule` toggle exists so the effect of the rule "a
-    solid-labeled diagram is not a single bigon" can be measured by ablation;
-    it is on in normal use.
-    """
+def validate(d: CharDiagram) -> list[Violation]:
+    """Check the characteristic-diagram constraints; return all violations."""
     out: list[Violation] = []
     labeled = d.labeled_nodes
     if len(labeled) != 1:
@@ -234,8 +229,7 @@ def validate(d: CharDiagram, single_bigon_rule: bool = True) -> list[Violation]:
             if lid not in (a, b):
                 out.append(Violation("C-iv", f"edge {a}-{b} is not adjacent to the labeled node"))
         if (
-            single_bigon_rule
-            and labeled[0].kind is NodeKind.SOLID
+            labeled[0].kind is NodeKind.SOLID
             and len(d.nodes) == 2
             and len(d.edges) == 2
             and d.loop_count == 0
@@ -335,9 +329,11 @@ def enumerate_valid(single_bigon_rule: bool = True) -> tuple[CharDiagram, ...]:
     solid nodes, up to three edges over every node pair including loops and
     pairs avoiding the labeled node. `validate` does the narrowing, so the
     thirteen classes really are cut out by the constraints rather than by
-    the generator. Representatives come back sorted by type. The answer is
-    computed once per process for each value of the flag, and every call
-    returns that same immutable tuple.
+    the generator. With `single_bigon_rule` false, rule C-vi ("a solid-labeled
+    diagram is not a single bigon") is ignored, so that its effect can be
+    measured by ablation. Representatives come back sorted by type. The
+    answer is computed once per process for each value of the flag, and
+    every call returns that same immutable tuple.
     """
     return _enumerate_valid(bool(single_bigon_rule))
 
@@ -353,7 +349,7 @@ def _enumerate_valid(single_bigon_rule: bool) -> tuple[CharDiagram, ...]:
             for count in range(1, 4):
                 for combo in itertools.combinations_with_replacement(pairs, count):
                     d = CharDiagram.build(nodes, combo)
-                    if validate(d, single_bigon_rule=single_bigon_rule):
+                    if any(single_bigon_rule or v.code != "C-vi" for v in d.violations):
                         continue
                     key = canonical_form(d)
                     if key not in found:

@@ -1,10 +1,10 @@
 """Exact integer homology utilities.
 
-Everything in this module is pure integer (or rational) arithmetic: Smith
-normal form with transformation matrices, finitely generated abelian groups
-given by presentations, first-homology classes of loops, slope-pair
-classification for annuli on a genus-2 boundary, and the meridional
-coordinate predictions used when an annulus is attached to a handlebody-knot.
+Everything in this module is integer arithmetic: Smith normal form with
+transformation matrices, finitely generated abelian groups given by
+presentations, first-homology classes of loops, the meridional coordinate
+predictions used when an annulus is attached to a handlebody-knot, and
+integer Laurent polynomials with their sparse determinant.
 
 No floating point is used anywhere.
 """
@@ -12,7 +12,6 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Sequence, Union
 
@@ -447,47 +446,6 @@ def klein_case_group(k: int, mirror: bool = False) -> KleinCaseGroup:
         v_plus_u_basis=subgroup_index([v_plus, u]) == 1,
         v_minus_u_basis=subgroup_index([v_minus, u]) == 1,
     )
-
-
-@dataclass(frozen=True)
-class SlopeShape:
-    """Classification of an unordered pair of boundary slopes.
-
-    kind is one of "trivial", "reciprocal", "product", "invalid"; for the
-    reciprocal pair {p/q, q/p} and the product pair {p/q, p*q} the defining
-    integers (p, q) are recorded.
-    """
-
-    kind: str
-    p: int | None = None
-    q: int | None = None
-
-
-def slope_pair_classify(r1, r2) -> SlopeShape:
-    """Classify an unordered slope pair on the two boundary circles.
-
-    >>> slope_pair_classify(Fraction(2, 3), Fraction(3, 2)).kind
-    'reciprocal'
-    >>> slope_pair_classify(Fraction(2, 3), 6)
-    SlopeShape(kind='product', p=2, q=3)
-    >>> slope_pair_classify(0, 0).kind
-    'trivial'
-    >>> slope_pair_classify(0, 5).kind
-    'invalid'
-    """
-    a = Fraction(r1)
-    b = Fraction(r2)
-    if a == 0 and b == 0:
-        return SlopeShape("trivial")
-    for x, y in ((a, b), (b, a)):
-        p, q = x.numerator, x.denominator
-        if p != 0 and y == Fraction(q, p):
-            return SlopeShape("reciprocal", p, q)
-    for x, y in ((a, b), (b, a)):
-        p, q = x.numerator, x.denominator
-        if p != 0 and y == p * q:
-            return SlopeShape("product", p, q)
-    return SlopeShape("invalid")
 
 
 @dataclass(frozen=True)

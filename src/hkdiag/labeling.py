@@ -11,10 +11,11 @@ annulus it stands for:
     l0      the trivial-slope version of l
     em      annulus separating a once-punctured torus piece
 
-Labels live on top of a valid diagram. `validate_labels` checks the rule set
-R1..R8 below; `label_catalog` enumerates every rule-consistent labeling of
-the thirteen diagram classes up to isomorphism; `symmetry_bounds` reads off
-what the labeled diagram forces about the symmetry groups of the underlying
+Labels live on top of a valid diagram. `slope_pair_classify` gives the shape
+of an l label's slope pair; `validate_labels` checks the rule set R1..R8
+below; `label_catalog` enumerates every rule-consistent labeling of the
+thirteen diagram classes up to isomorphism; `symmetry_bounds` reads off what
+the labeled diagram forces about the symmetry groups of the underlying
 handlebody-knot.
 """
 
@@ -41,7 +42,6 @@ from .diagram import (
     solid_base_annotation,
 )
 from .errors import StructureError
-from .homology import SlopeShape, slope_pair_classify
 
 __all__ = list(_EXPORTS["labeling"])
 
@@ -57,6 +57,47 @@ def _check_k2_slope(r: Fraction) -> Fraction:
             f"k2 slope must be nonzero and never a reciprocal of an integer, got {r}"
         )
     return r
+
+
+@dataclass(frozen=True)
+class SlopeShape:
+    """Classification of an unordered pair of boundary slopes.
+
+    kind is one of "trivial", "reciprocal", "product", "invalid"; for the
+    reciprocal pair {p/q, q/p} and the product pair {p/q, p*q} the defining
+    integers (p, q) are recorded.
+    """
+
+    kind: str
+    p: int | None = None
+    q: int | None = None
+
+
+def slope_pair_classify(r1, r2) -> SlopeShape:
+    """Classify an unordered slope pair on the two boundary circles.
+
+    >>> slope_pair_classify(Fraction(2, 3), Fraction(3, 2)).kind
+    'reciprocal'
+    >>> slope_pair_classify(Fraction(2, 3), 6)
+    SlopeShape(kind='product', p=2, q=3)
+    >>> slope_pair_classify(0, 0).kind
+    'trivial'
+    >>> slope_pair_classify(0, 5).kind
+    'invalid'
+    """
+    a = Fraction(r1)
+    b = Fraction(r2)
+    if a == 0 and b == 0:
+        return SlopeShape("trivial")
+    for x, y in ((a, b), (b, a)):
+        p, q = x.numerator, x.denominator
+        if p != 0 and y == Fraction(q, p):
+            return SlopeShape("reciprocal", p, q)
+    for x, y in ((a, b), (b, a)):
+        p, q = x.numerator, x.denominator
+        if p != 0 and y == p * q:
+            return SlopeShape("product", p, q)
+    return SlopeShape("invalid")
 
 
 @dataclass(frozen=True)
@@ -435,7 +476,6 @@ class CatalogEntry:
     dtype: DiagramType
     kinds: tuple[str, ...]
     realization: str
-    bounds: SymmetryBounds | None
     constrained: bool
 
 
@@ -477,7 +517,6 @@ def label_catalog() -> tuple[CatalogEntry, ...]:
                 dtype=dtype,
                 kinds=kinds,
                 realization=realization_status(dtype),
-                bounds=symmetry_bounds(ad),
                 constrained=any(k in H_KINDS for k in kinds),
             ))
     return tuple(entries)

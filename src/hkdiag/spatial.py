@@ -127,6 +127,10 @@ class Provenance:
 # `meta` key -> Provenance field name, in field order.
 _META_KEYS = {f.name.replace("_", "-"): f.name for f in fields(Provenance)}
 
+# The values allowed for each `meta` key that takes one of a fixed set.
+_META_VALUES = {"origin": ("family", "looping"), "source-kind": ("theta", "handcuff"),
+                "looping-kind": ("plain", "tunnel", "knot"), "mirror": ("true", "false")}
+
 
 @dataclass(frozen=True)
 class SpatialGraphCode:
@@ -487,7 +491,7 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
     _require_valid(g)
     if g.kind not in ("theta", "handcuff"):
         raise StructureError("looping applies to theta and handcuff codes")
-    if kind not in ("plain", "tunnel", "knot"):
+    if kind not in _META_VALUES["looping-kind"]:
         raise StructureError(f"unknown looping kind {kind!r}")
     v = g.vertex(vertex_id)
     p, q = pair
@@ -740,7 +744,7 @@ def looping_transition(source: GraphClass, kind: str = "plain") -> Transition:
     answer depends on which looping is performed, hence the kind argument
     ("tunnel", "knot" or "plain"; plain means undetermined).
     """
-    if kind not in ("plain", "tunnel", "knot"):
+    if kind not in _META_VALUES["looping-kind"]:
         raise ValueError(f"unknown looping kind {kind!r}")
     code = source.code
     if code == "tau3":
@@ -1140,6 +1144,13 @@ def _meta_int(meta: dict[str, str], lines: dict[str, int], key: str) -> int | No
             f"meta {key} must be an integer, got {meta[key]!r}", lines[key]) from None
 
 
+def _check_meta_value(meta: dict[str, str], lines: dict[str, int], key: str) -> None:
+    *rest, last = _META_VALUES[key]
+    if key in meta and meta[key] not in _META_VALUES[key]:
+        raise StructureError(f"meta {key} must be {', '.join(rest)} or {last}, got {meta[key]!r}",
+                             lines[key])
+
+
 def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance | None:
     """Provenance from `meta` tokens; `lines` holds each key's line number."""
     if not meta:
@@ -1149,18 +1160,15 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
     for key in meta:
         if key not in _META_KEYS:
             raise StructureError(f"unknown meta key {key!r}", lines[key])
-    if meta["origin"] not in ("family", "looping"):
-        raise StructureError(
-            f"meta origin must be family or looping, got {meta['origin']!r}", lines["origin"])
+    _check_meta_value(meta, lines, "origin")
     loopings = _meta_int(meta, lines, "loopings") or 0
     if loopings < 0:
         raise StructureError("meta loopings must not be negative", lines["loopings"])
     n = _meta_int(meta, lines, "n")
     if n is not None and n < 2:
         raise StructureError(f"meta n must be at least 2, got {n}", lines["n"])
-    if meta.get("mirror", "false") not in ("true", "false"):
-        raise StructureError(
-            f"meta mirror must be true or false, got {meta['mirror']!r}", lines["mirror"])
+    for key in ("source-kind", "looping-kind", "mirror"):
+        _check_meta_value(meta, lines, key)
     values = {_META_KEYS[key]: value for key, value in meta.items()}
     values.update(loopings=loopings, n=n, mirror=meta.get("mirror") == "true")
     return Provenance(**values)

@@ -503,6 +503,15 @@ class AnalyzeTests(unittest.TestCase):
         code, _, _ = self.analyze_json(p, "flavor=salty")
         self.assertEqual(code, 2)
 
+    def test_assertion_needs_a_value(self):
+        p = self.build("theta.txt", "torus-link", "--n", "3", "--tunnel")
+        for key in ("tunnel", "knotting-arc", "trivial-knot", "nontrivial-knot"):
+            code, data, _ = self.analyze_json(p, f"{key}=")
+            self.assertEqual(code, 2, key)
+            self.assertEqual(data["errors"], [f"{p}: assertion {key} needs a value"])
+            code, out, _ = run(["analyze", p, "--assert", f"{key}="])
+            self.assertEqual((code, out.splitlines()[-1]), (2, data["errors"][0]))
+
     def test_trivial_link_is_not_an_assertion_key(self):
         p = self.build("theta.txt", "torus-link", "--n", "3", "--tunnel")
         code, data, _ = self.analyze_json(p, "trivial-link=true")
@@ -764,6 +773,9 @@ class MalformedCodeTests(unittest.TestCase):
         "mirror meta neither true nor false": (
             resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()
             .replace("family=spine-5-2", "family=spine-5-2 mirror=yes"), 23),
+        "unknown looping kind meta": (
+            resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()
+            .replace("family=spine-5-2", "family=spine-5-2 looping-kind=banana"), 23),
     }
 
     def test_every_command_names_the_line(self):

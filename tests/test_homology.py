@@ -3,12 +3,10 @@
 The Smith normal form implementation is cross-checked against sympy's,
 which serves as an independent oracle, and the sparse determinant against
 sympy's and a dense elimination in natural order; everything downstream (group
-presentations, subgroup indices, slope classification) is checked against
-hand-computed values.
+presentations, subgroup indices) is checked against hand-computed values.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -31,7 +29,6 @@ from hkdiag.homology import (
     klein_case_group,
     meridional_pair_predict,
     primitivity_necessary,
-    slope_pair_classify,
     smith_normal_form,
     subgroup_index,
 )
@@ -206,24 +203,6 @@ def test_klein_case_bases():
     assert mirrored.k == -3
     with pytest.raises(ValueError):
         klein_case_group(1)
-
-
-@pytest.mark.parametrize(
-    "r1, r2, kind",
-    [
-        (0, 0, "trivial"),
-        (Fraction(2, 3), Fraction(3, 2), "reciprocal"),
-        (Fraction(3, 2), Fraction(2, 3), "reciprocal"),
-        (Fraction(2, 3), 6, "product"),
-        (6, Fraction(2, 3), "product"),
-        (Fraction(-1, 2), -2, "reciprocal"),
-        (0, 5, "invalid"),
-        (Fraction(1, 3), Fraction(1, 2), "invalid"),
-    ],
-)
-def test_slope_pair_classify(r1, r2, kind):
-    shape = slope_pair_classify(r1, r2)
-    assert shape.kind == kind
 
 
 def test_laurent_arithmetic():

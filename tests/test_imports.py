@@ -19,7 +19,7 @@ import hkdiag
 from hkdiag import cli, diagram, errors, labeling, spatial, wirtinger
 
 CLI = ["hkdiag", "hkdiag.cli", "hkdiag.errors"]
-ANNULUS = sorted(CLI + ["hkdiag.diagram", "hkdiag.homology", "hkdiag.labeling"])
+ANNULUS = sorted(CLI + ["hkdiag.diagram", "hkdiag.labeling"])
 SPATIAL = sorted(CLI + ["hkdiag.diagram", "hkdiag.spatial"])
 ANALYZE = sorted(CLI + ["hkdiag.diagram", "hkdiag.homology", "hkdiag.spatial",
                         "hkdiag.wirtinger"])
@@ -125,6 +125,17 @@ class ImportGraphTests(unittest.TestCase):
             [["analyze", self.theta, "--assert", "tunnel=t"], ["analyze", self.handcuff],
              ["analyze", self.once]],
             [ANALYZE, ANALYZE, sorted(ANALYZE + ["hkdiag.labeling"])])
+
+    def test_analyze_of_an_unlooped_code_loads_no_rationals(self):
+        out = fresh_python(
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from hkdiag.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['analyze', path]) for path in sys.argv[1:]]\n"
+            "print(codes, sorted({'fractions', 'decimal'} & set(sys.modules)))\n",
+            self.theta, self.handcuff)
+        self.assertEqual(out, "[0, 0] []\n")
 
 
 class LazyNamespaceTests(unittest.TestCase):

@@ -1,8 +1,9 @@
-"""Label syntax, the rules R1..R8, the catalog, and symmetry bounds."""
+"""Slope pairs, label syntax, the rules R1..R8, the catalog, and symmetry bounds."""
 
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from hkdiag.labeling import (
     labeled_isomorphic,
     parse_annulus,
     parse_label,
+    slope_pair_classify,
     symmetry_bounds,
     validate_labels,
 )
@@ -73,6 +75,24 @@ def test_k2_slope_guard():
     with pytest.raises(ValueError):
         EdgeLabel.k2(Fraction(1, 4))
     assert EdgeLabel.k2(Fraction(5, 2)).slope == Fraction(5, 2)
+
+
+@pytest.mark.parametrize(
+    "r1, r2, kind",
+    [
+        (0, 0, "trivial"),
+        (Fraction(2, 3), Fraction(3, 2), "reciprocal"),
+        (Fraction(3, 2), Fraction(2, 3), "reciprocal"),
+        (Fraction(2, 3), 6, "product"),
+        (6, Fraction(2, 3), "product"),
+        (Fraction(-1, 2), -2, "reciprocal"),
+        (0, 5, "invalid"),
+        (Fraction(1, 3), Fraction(1, 2), "invalid"),
+    ],
+)
+def test_slope_pair_classify(r1, r2, kind):
+    shape = slope_pair_classify(r1, r2)
+    assert shape.kind == kind
 
 
 def test_l_label_sorts_slopes():
@@ -282,7 +302,14 @@ def test_catalog_h_split(catalog):
 
 def test_catalog_bounds_agree_with_constraint(catalog):
     for e in catalog:
-        assert (e.bounds is not None) == e.constrained
+        assert (symmetry_bounds(e.diagram) is not None) == e.constrained
+
+
+def test_catalog_derives_no_bounds():
+    label_catalog.cache_clear()
+    with mock.patch("hkdiag.labeling.symmetry_bounds", wraps=symmetry_bounds) as counter:
+        assert len(label_catalog()) == 66
+    assert counter.call_count == 0
 
 
 def test_catalog_covers_all_classes(catalog):

@@ -1055,7 +1055,8 @@ def test_unknown_kind_is_a_violation_of_a_hand_built_code():
 
 
 @pytest.mark.parametrize("token", ["n=abc", "loopings=abc", "loopings=-1", "origin=nonsense",
-                                   "n=0", "n=-2", "mirror=yes"])
+                                   "n=0", "n=-2", "mirror=yes", "source-kind=moose",
+                                   "looping-kind=banana"])
 def test_parse_rejects_bad_meta(token):
     with pytest.raises(StructureError) as err:
         parse_code(f"graph link\nedge k\nmeta origin=family\nmeta {token}\n")
