@@ -41,7 +41,7 @@ _EXPORTS = {
         "primitivity_necessary", "smith_normal_form", "subgroup_index",
     ),
     "labeling": (
-        "AnnulusDiagram", "CatalogEntry", "EdgeLabel", "Fact", "GroupBound", "SlopeShape",
+        "AnnulusDiagram", "CatalogEntry", "EdgeLabel", "Fact", "GroupBound",
         "SymmetryBounds", "annulus_to_json_dict", "derived_facts", "format_annulus",
         "is_fourone", "label_catalog", "labeled_isomorphic", "parse_annulus", "parse_label",
         "slope_pair_classify", "symmetry_bounds", "validate_labels",

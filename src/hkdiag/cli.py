@@ -244,8 +244,7 @@ def _cmd_loop(args) -> int:
         spatial.resolve_end(g, args.vertex, tokens[0].strip()),
         spatial.resolve_end(g, args.vertex, tokens[1].strip()),
     )
-    kind = spatial.looping_kind(g, pair, args.tunnel)
-    result = spatial.loop_at(g, args.vertex, pair, kind=kind, mirror=args.mirror)
+    result = spatial.loop_at(g, args.vertex, pair, args.tunnel, mirror=args.mirror)
     _write_code(spatial.format_code(result), args.out, args.format)
     return EXIT_OK
 

@@ -323,10 +323,15 @@ class LoopClass:
         return not any(self.coords)
 
 
-def _coords(c) -> tuple[int, ...]:
-    if isinstance(c, LoopClass):
-        return c.coords
-    return tuple(int(x) for x in c)
+def _class_rows(classes: Sequence) -> list[tuple[int, ...]]:
+    """The classes' coordinates, one row each: at least one row, all of one length."""
+    vecs = [c.coords if isinstance(c, LoopClass) else tuple(int(x) for x in c)
+            for c in classes]
+    if len({len(v) for v in vecs}) > 1:
+        raise ValueError("coordinate lengths disagree")
+    if not vecs:
+        raise ValueError("no classes given")
+    return vecs
 
 
 def subgroup_index(classes: Sequence) -> Index:
@@ -342,13 +347,8 @@ def subgroup_index(classes: Sequence) -> Index:
     >>> subgroup_index([(1, 0), (2, 0)])
     INFINITE
     """
-    vecs = [_coords(c) for c in classes]
-    widths = {len(v) for v in vecs}
-    if len(widths) > 1:
-        raise ValueError("coordinate lengths disagree")
-    if not vecs:
-        raise ValueError("no classes given")
-    n = widths.pop()
+    vecs = _class_rows(classes)
+    n = len(vecs[0])
     if n == 0:
         return 1
     diag = invariant_factors_of(IntMatrix.from_rows(vecs))
@@ -369,12 +369,7 @@ def primitivity_necessary(classes: Sequence) -> bool:
     >>> primitivity_necessary([(2, 0)])
     False
     """
-    vecs = [_coords(c) for c in classes]
-    widths = {len(v) for v in vecs}
-    if len(widths) > 1:
-        raise ValueError("coordinate lengths disagree")
-    if not vecs:
-        raise ValueError("no classes given")
+    vecs = _class_rows(classes)
     diag = invariant_factors_of(IntMatrix.from_rows(vecs))
     return len(diag) == len(vecs) and all(x == 1 for x in diag)
 

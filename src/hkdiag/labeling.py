@@ -59,45 +59,34 @@ def _check_k2_slope(r: Fraction) -> Fraction:
     return r
 
 
-@dataclass(frozen=True)
-class SlopeShape:
-    """Classification of an unordered pair of boundary slopes.
-
-    kind is one of "trivial", "reciprocal", "product", "invalid"; for the
-    reciprocal pair {p/q, q/p} and the product pair {p/q, p*q} the defining
-    integers (p, q) are recorded.
-    """
-
-    kind: str
-    p: int | None = None
-    q: int | None = None
-
-
-def slope_pair_classify(r1, r2) -> SlopeShape:
+def slope_pair_classify(r1, r2) -> str:
     """Classify an unordered slope pair on the two boundary circles.
 
-    >>> slope_pair_classify(Fraction(2, 3), Fraction(3, 2)).kind
+    The shape is "trivial" (both slopes 0), "reciprocal" ({p/q, q/p}),
+    "product" ({p/q, p*q}) or "invalid".
+
+    >>> slope_pair_classify(Fraction(2, 3), Fraction(3, 2))
     'reciprocal'
     >>> slope_pair_classify(Fraction(2, 3), 6)
-    SlopeShape(kind='product', p=2, q=3)
-    >>> slope_pair_classify(0, 0).kind
+    'product'
+    >>> slope_pair_classify(0, 0)
     'trivial'
-    >>> slope_pair_classify(0, 5).kind
+    >>> slope_pair_classify(0, 5)
     'invalid'
     """
     a = Fraction(r1)
     b = Fraction(r2)
     if a == 0 and b == 0:
-        return SlopeShape("trivial")
+        return "trivial"
     for x, y in ((a, b), (b, a)):
         p, q = x.numerator, x.denominator
         if p != 0 and y == Fraction(q, p):
-            return SlopeShape("reciprocal", p, q)
+            return "reciprocal"
     for x, y in ((a, b), (b, a)):
         p, q = x.numerator, x.denominator
         if p != 0 and y == p * q:
-            return SlopeShape("product", p, q)
-    return SlopeShape("invalid")
+            return "product"
+    return "invalid"
 
 
 @dataclass(frozen=True)
@@ -127,9 +116,9 @@ class EdgeLabel:
     @classmethod
     def l(cls, r1, r2) -> "EdgeLabel":
         shape = slope_pair_classify(r1, r2)
-        if shape.kind == "trivial":
+        if shape == "trivial":
             raise ValueError("the trivial slope pair is written l0, not l(0,0)")
-        if shape.kind == "invalid":
+        if shape == "invalid":
             raise ValueError(f"slope pair ({r1}, {r2}) fits no annulus of this kind")
         pair = tuple(sorted((Fraction(r1), Fraction(r2))))
         return cls("l", slopes=pair)
@@ -143,7 +132,7 @@ class EdgeLabel:
         return cls("em")
 
     @property
-    def slope_shape(self) -> SlopeShape | None:
+    def slope_shape(self) -> str | None:
         if self.kind == "l":
             return slope_pair_classify(*self.slopes)
         if self.kind == "l0":
@@ -275,8 +264,7 @@ def _label_violations(ad: AnnulusDiagram) -> list[Violation]:
             out.append(Violation("R2", "h1 occurs only as the sole label of the single-loop diagram"))
 
     for lab in ad.labels:
-        shape = lab.slope_shape
-        if shape is not None and shape.kind == "reciprocal" and len(d.edges) != 1:
+        if lab.slope_shape == "reciprocal" and len(d.edges) != 1:
             out.append(Violation("R3", "a reciprocal slope pair forces a single-edge diagram"))
 
     if theta_shape and sorted(kinds) != ["h2", "h2", "l0"]:
@@ -450,8 +438,7 @@ def derived_facts(ad: AnnulusDiagram) -> list[Fact]:
     for lab in ad.labels:
         if lab is None:
             continue
-        shape = lab.slope_shape
-        if shape is not None and shape.kind == "reciprocal":
+        if lab.slope_shape == "reciprocal":
             facts.append(Fact("uniqueness", "the annulus is the unique essential annulus, up to isotopy"))
     if "l0" in kinds:
         facts.append(Fact("uniqueness", "the trivial-slope annulus is the unique annulus of its type, up to isotopy"))

@@ -97,7 +97,11 @@ class Crossing:
 
 @dataclass(frozen=True)
 class Provenance:
-    """How a code came to exist; drives the annulus predictions."""
+    """How a code came to exist; drives the annulus predictions.
+
+    A looping records its source kind, its looping kind and at least one
+    looping; any other origin records none of the three.
+    """
 
     origin: str  # "family" | "looping"
     source_kind: str | None = None
@@ -107,6 +111,16 @@ class Provenance:
     n: int | None = None
     variant: str | None = None
     mirror: bool = False
+
+    def __post_init__(self):
+        record = (self.source_kind, self.looping_kind)
+        if self.origin == "looping":
+            ok = None not in record and self.loopings >= 1
+        else:
+            ok = record == (None, None) and self.loopings == 0
+        if not ok:
+            raise StructureError("meta source-kind, looping-kind and loopings >= 1 come "
+                                 "together, and only with origin=looping")
 
     def meta_items(self) -> list[tuple[str, str]]:
         """The key=value pairs of this provenance's `meta` line, in field order.
@@ -270,6 +284,8 @@ def _shape_violations(g: SpatialGraphCode) -> list[Violation]:
     if g.kind not in ("theta", "handcuff", "link"):
         return [Violation("shape", f"unknown graph kind {g.kind!r}")]
     out: list[Violation] = []
+    if g.provenance is not None and g.provenance.origin == "looping" and g.kind != "handcuff":
+        out.append(Violation("shape", f"a looping gives a handcuff code, not a {g.kind} code"))
     if g.kind == "link":
         if g.vertices:
             out.append(Violation("shape", "a link code has no vertices"))
@@ -474,7 +490,7 @@ def resolve_end(g: SpatialGraphCode, vertex_id: str, token: str) -> tuple[str, i
 
 def loop_at(g: SpatialGraphCode, vertex_id: str,
             pair: tuple[tuple[str, int], tuple[str, int]],
-            kind: str = "plain", mirror: bool = False) -> SpatialGraphCode:
+            tunnel: str | None = None, mirror: bool = False) -> SpatialGraphCode:
     """Loop the graph at a vertex, splicing the two given edge-ends.
 
     The vertex disappears. One strand runs in along end p, through two
@@ -484,15 +500,14 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
     in r's place. The result is always a handcuff graph. Pairing a handcuff
     loop's own two ends would set the loop free and is rejected.
 
-    kind records the looping's relation to a designated tunnel ("tunnel",
-    "knot" or "plain"); it only affects provenance. mirror reverses the
+    tunnel designates a tunnel edge; the provenance records the looping's
+    kind relative to it, as `looping_kind` names it. mirror reverses the
     handedness of the new ring.
     """
+    kind = looping_kind(g, pair, tunnel)
     _require_valid(g)
     if g.kind not in ("theta", "handcuff"):
         raise StructureError("looping applies to theta and handcuff codes")
-    if kind not in _META_VALUES["looping-kind"]:
-        raise StructureError(f"unknown looping kind {kind!r}")
     v = g.vertex(vertex_id)
     p, q = pair
     if p not in v.ends or q not in v.ends or p == q:
@@ -723,8 +738,6 @@ def classify_atoroidal(g: SpatialGraphCode, facts: FactSet) -> GraphClass | Uncl
 class Transition:
     """Possible classes of the looped graph, given the class of the source."""
 
-    source: GraphClass
-    kind: str
     targets: tuple[GraphClass, ...]
     note: str | None = None
 
@@ -747,11 +760,9 @@ def looping_transition(source: GraphClass, kind: str = "plain") -> Transition:
     if kind not in _META_VALUES["looping-kind"]:
         raise ValueError(f"unknown looping kind {kind!r}")
     code = source.code
-    if code == "tau3":
-        targets = ("h4",) if kind == "knot" else _LOOPING_TARGETS[code]
-        return Transition(source, kind, tuple(map(GraphClass, targets)))
+    targets = ("h4",) if code == "tau3" and kind == "knot" else _LOOPING_TARGETS[code]
     note = "the looped graph carries the handlebody-knot 2_1" if code == "tau1" else None
-    return Transition(source, "any", tuple(map(GraphClass, _LOOPING_TARGETS[code])), note)
+    return Transition(tuple(map(GraphClass, targets)), note)
 
 
 def type_three_two_linking_test(lk: int) -> bool:
@@ -793,7 +804,7 @@ def predicted_annulus(g: SpatialGraphCode, facts: FactSet) -> AnnulusPrediction:
     """
     _require_valid(g)
     pv = g.provenance
-    if pv is None or pv.origin != "looping" or pv.loopings < 1:
+    if pv is None or pv.origin != "looping":
         return AnnulusPrediction(None, 0, None, None, None, None,
                                  ("the code does not record a looping",))
     from .labeling import parse_annulus
@@ -1171,4 +1182,7 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
         _check_meta_value(meta, lines, key)
     values = {_META_KEYS[key]: value for key, value in meta.items()}
     values.update(loopings=loopings, n=n, mirror=meta.get("mirror") == "true")
-    return Provenance(**values)
+    try:
+        return Provenance(**values)
+    except StructureError as err:
+        raise StructureError(str(err), lines["origin"]) from None

@@ -45,7 +45,6 @@ from hkdiag.spatial import (
     family_torus_link,
     linking_number,
     loop_at,
-    looping_kind,
     looping_transition,
     parse_code,
     predicted_annulus,
@@ -288,7 +287,7 @@ def test_criterion_11_spine_predictions():
     text = resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()
     g = parse_code(text)
     pair = (resolve_end(g, "u", "ka"), resolve_end(g, "u", "kb"))
-    once = loop_at(g, "u", pair, kind=looping_kind(g, pair, "t"))
+    once = loop_at(g, "u", pair, tunnel="t")
     p = predicted_annulus(once, pinned(once))
     assert p.annulus_type == "2-1"
     assert diagram_of(p) == ("(1,1,0,hollow)", ["h1"])

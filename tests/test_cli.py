@@ -776,6 +776,15 @@ class MalformedCodeTests(unittest.TestCase):
         "unknown looping kind meta": (
             resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()
             .replace("family=spine-5-2", "family=spine-5-2 looping-kind=banana"), 23),
+        "looping origin without its record": (
+            resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()
+            .replace("origin=family family=spine-5-2", "origin=looping source-kind=theta"), 23),
+        "looping origin on a theta code": (
+            resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text()
+            .replace("origin=family family=spine-5-2",
+                     "origin=looping source-kind=theta looping-kind=tunnel loopings=1"), 5),
+        "looping record with a family origin": (
+            "graph link\nedge k\nmeta origin=family loopings=3 looping-kind=knot\n", 3),
     }
 
     def test_every_command_names_the_line(self):

@@ -91,8 +91,7 @@ def test_k2_slope_guard():
     ],
 )
 def test_slope_pair_classify(r1, r2, kind):
-    shape = slope_pair_classify(r1, r2)
-    assert shape.kind == kind
+    assert slope_pair_classify(r1, r2) == kind
 
 
 def test_l_label_sorts_slopes():

@@ -1,4 +1,9 @@
-"""The package namespace: hkdiag re-exports each module's __all__."""
+"""The package namespace: hkdiag re-exports each module's __all__, and its
+source keeps to exact arithmetic and the standard library."""
+
+import ast
+import sys
+from pathlib import Path
 
 import hkdiag
 from hkdiag import diagram, homology, labeling, spatial, wirtinger
@@ -8,7 +13,7 @@ EXPORTED = {
     "CharDiagram", "ContradictionError", "Crossing", "DiagramType", "EdgeCode",
     "EdgeLabel", "EdgeWalk", "Fact", "FactSet", "GraphClass", "GroupBound", "INFINITE",
     "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass", "Meridian",
-    "MeridianMap", "Node", "NodeKind", "Pass", "Provenance", "SlopeShape",
+    "MeridianMap", "Node", "NodeKind", "Pass", "Provenance",
     "SpatialGraphCode", "StructureError", "SymmetryBounds", "Transition",
     "Unclassified", "UnderPassWord", "VertexCode", "Violation", "alexander_polynomial",
     "annulus_to_json_dict", "are_isomorphic",
@@ -42,3 +47,36 @@ def test_exported_names_are_pinned():
         assert len(module.__all__) == len(expected), layer
         for name in module.__all__:
             assert getattr(hkdiag, name) is getattr(module, name), name
+
+
+SOURCES = sorted(Path(hkdiag.__file__).parent.glob("*.py"))
+
+
+def test_no_floating_point():
+    """No float constant, no true division and no float() call."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert {path.stem for path in SOURCES} >= {"cli", *hkdiag._LAYERS}
+    assert found == []
+
+
+def test_no_runtime_dependency():
+    """Every absolute import names a standard-library module."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []

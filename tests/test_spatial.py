@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+from dataclasses import replace
 from importlib import resources
 from unittest import mock
 
@@ -24,6 +25,7 @@ from hkdiag.spatial import (
     FactSet,
     GraphClass,
     Pass,
+    Provenance,
     SpatialGraphCode,
     StructureError,
     Unclassified,
@@ -245,7 +247,7 @@ def test_odd_ringed_rejects_bad_n():
 def tunnel_loop(n):
     g = family_torus_link(n, tunnel=True)
     pair = (resolve_end(g, "u", "ka"), resolve_end(g, "u", "kb"))
-    return loop_at(g, "u", pair, kind=looping_kind(g, pair, "t"))
+    return loop_at(g, "u", pair, tunnel="t")
 
 
 def test_loop_of_theta_is_handcuff():
@@ -368,24 +370,43 @@ LOOPING_SOURCES = (
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(LOOPING_SOURCES), st.data())
 def test_loop_at_matches_the_two_branch_oracle(g, data):
-    """1-4 loopings at random ends, of every kind and handedness: loop_at
-    writes the code the two-branch rewrite writes, or raises what it raises."""
+    """1-4 loopings at random ends, with or without a designated tunnel, of
+    either handedness: loop_at writes the code the two-branch rewrite writes
+    for the looping kind of that designation, or raises what it raises."""
     for _ in range(data.draw(st.integers(1, 4))):
         v = data.draw(st.sampled_from(g.vertices))
         pair = (data.draw(st.sampled_from(v.ends)), data.draw(st.sampled_from(v.ends)))
-        args = (g, v.id, pair, data.draw(st.sampled_from(("plain", "tunnel", "knot"))),
-                data.draw(st.booleans()))
+        tunnel = data.draw(st.sampled_from((None, *(e.id for e in g.edges))))
+        mirror = data.draw(st.booleans())
         try:
-            expected = format_code(two_branch_loop_at(*args))
+            expected = format_code(two_branch_loop_at(
+                g, v.id, pair, looping_kind(g, pair, tunnel), mirror))
         except (StructureError, ContradictionError) as err:
             expected = type(err)
         try:
-            looped = loop_at(*args)
+            looped = loop_at(g, v.id, pair, tunnel, mirror)
         except (StructureError, ContradictionError) as err:
             assert type(err) is expected
         else:
             assert format_code(looped) == expected
             g = looped
+
+
+def test_loop_at_records_the_looping_kind():
+    """Every splice of every looping source and of a looped theta-curve,
+    with each designation of a tunnel: the looping kind on the looped code
+    is looping_kind's."""
+    seen = set()
+    for g in (*LOOPING_SOURCES, tunnel_loop(3)):
+        for v in g.vertices:
+            for pair in itertools.permutations(v.ends, 2):
+                if pair[0][0] == pair[1][0]:
+                    continue
+                for tunnel in (None, *(e.id for e in g.edges)):
+                    kind = looping_kind(g, pair, tunnel)
+                    assert loop_at(g, v.id, pair, tunnel).provenance.looping_kind == kind
+                    seen.add(kind)
+    assert seen == {"plain", "tunnel", "knot"}
 
 
 # --- homology of complements ---------------------------------------------------------
@@ -483,7 +504,7 @@ def test_meridian_basis_is_pinned():
     identity basis of a link code."""
     spine = bundled_spine()
     pair = (resolve_end(spine, "u", "ka"), resolve_end(spine, "u", "kb"))
-    once = loop_at(spine, "u", pair, kind=looping_kind(spine, pair, "t"))
+    once = loop_at(spine, "u", pair, tunnel="t")
     _, mm = h1_complement(once)
     coords = {e.id: mm.edge_class(e.id).coords for e in once.edges}
     assert coords == {"ka+kb": (1, 0), "t": (0, 0), "c1": (0, 1)}
@@ -874,7 +895,7 @@ def test_prediction_tunnel_loop_of_knot():
 
 def test_prediction_fourone():
     g = family_torus_link(2, tunnel=True)
-    looped = loop_at(g, "u", (("a", 0), ("t", 0)), kind="tunnel")
+    looped = loop_at(g, "u", (("a", 0), ("t", 0)), tunnel="t")
     facts = attach_evidence(looped, theta_facts(atoroidal=True, planar=False))
     p = predicted_annulus(looped, facts)
     assert p.annulus_type == "2-2"
@@ -886,7 +907,7 @@ def test_prediction_fourone():
 
 def test_prediction_torus_family():
     g = family_torus_link(6, tunnel=True)
-    looped = loop_at(g, "u", (("a", 0), ("t", 0)), kind="tunnel")
+    looped = loop_at(g, "u", (("a", 0), ("t", 0)), tunnel="t")
     p = predicted_annulus(looped, theta_facts(atoroidal=True, planar=False))
     assert p.unique is True
     assert_diagram(p, "(2,1,0,hollow)", ["h2", "k2"])
@@ -929,7 +950,7 @@ def test_predicted_diagrams_are_admissible():
     once = tunnel_loop(3)
     twice = loop_at(once, "v", (resolve_end(once, "v", "ka+kb.0"), resolve_end(once, "v", "t")))
     looped = [once, twice]
-    looped += [loop_at(family_torus_link(n, tunnel=True), "u", (("a", 0), ("t", 0)), kind="tunnel")
+    looped += [loop_at(family_torus_link(n, tunnel=True), "u", (("a", 0), ("t", 0)), tunnel="t")
                for n in (2, 4, 6, 10)]
     looped += [loop_at(family_odd_ringed(3, ring), "u", (("k", 0), ("t", 0)))
                for ring in ("one", "both")]
@@ -1063,6 +1084,43 @@ def test_parse_rejects_bad_meta(token):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("origin, record", [
+    ("looping", ""), ("looping", "source-kind=theta"),
+    ("looping", "source-kind=handcuff looping-kind=plain"),
+    ("looping", "source-kind=handcuff looping-kind=plain loopings=0"),
+    ("family", "loopings=3 looping-kind=knot"), ("family", "source-kind=theta"),
+    ("family", "loopings=1"), ("family", "looping-kind=tunnel"),
+])
+def test_parse_rejects_a_partial_or_misplaced_looping_record(origin, record):
+    """source-kind, looping-kind and loopings >= 1 come together and only
+    with origin=looping; the error names the origin's line."""
+    body = "".join(line for line in format_code(family_torus_link(2, tunnel=True))
+                   .splitlines(keepends=True) if not line.startswith("meta"))
+    text = f"{body}meta {record}\nmeta origin={origin}\n"
+    with pytest.raises(StructureError, match="only with origin=looping") as err:
+        parse_code(text)
+    assert err.value.line == text.count("\n")
+
+
+def test_provenance_refuses_a_record_no_looping_writes():
+    for values in ({"origin": "looping"},
+                   {"origin": "looping", "source_kind": "theta", "looping_kind": "plain"},
+                   {"origin": "family", "loopings": 1}, {"origin": "family", "source_kind": "theta"}):
+        with pytest.raises(StructureError, match="^meta source-kind") as err:
+            Provenance(**values)
+        assert err.value.line is None
+
+
+def test_a_looping_origin_needs_a_handcuff_code():
+    spine = bundled_spine()
+    looped = replace(spine, provenance=Provenance(
+        "looping", source_kind="theta", looping_kind="tunnel", loopings=1))
+    assert validate_code(looped) == [
+        Violation("shape", "a looping gives a handcuff code, not a theta code")]
+    with pytest.raises(StructureError, match="^line 1: a looping gives a handcuff code"):
+        parse_code(format_code(looped))
+
+
 def test_validate_catches_unpaired_crossing():
     g = SpatialGraphCode(
         "link", (),
@@ -1161,14 +1219,15 @@ def braid_graphs(draw):
 
 @st.composite
 def loop_chains(draw):
-    """1-4 loopings of a looping source, at random ends, of every kind and
-    handedness, never splicing a loop's two ends onto each other."""
+    """1-4 loopings of a looping source, at random ends, with or without a
+    designated tunnel, of either handedness, never splicing a loop's two ends
+    onto each other."""
     g = draw(st.sampled_from(LOOPING_SOURCES))
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         v = draw(st.sampled_from(g.vertices))
         pairs = [(p, q) for p, q in itertools.permutations(v.ends, 2) if p[0] != q[0]]
         g = loop_at(g, v.id, draw(st.sampled_from(pairs)),
-                    draw(st.sampled_from(("plain", "tunnel", "knot"))), draw(st.booleans()))
+                    draw(st.sampled_from((None, *(e.id for e in g.edges)))), draw(st.booleans()))
     return g
 
 
