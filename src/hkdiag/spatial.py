@@ -99,8 +99,12 @@ class Crossing:
 class Provenance:
     """How a code came to exist; drives the annulus predictions.
 
-    A looping records its source kind, its looping kind and at least one
-    looping; any other origin records none of the three.
+    Each value is one its `meta` key allows: an origin, source kind and
+    looping kind from `_META_VALUES`, loopings >= 0, n >= 2, and a family
+    and variant of one token each. A looping records its source kind, its
+    looping kind and at least one looping; any other origin records none of
+    the three. So `format_code` writes only `meta` lines that `parse_code`
+    reads back.
     """
 
     origin: str  # "family" | "looping"
@@ -113,14 +117,9 @@ class Provenance:
     mirror: bool = False
 
     def __post_init__(self):
-        record = (self.source_kind, self.looping_kind)
-        if self.origin == "looping":
-            ok = None not in record and self.loopings >= 1
-        else:
-            ok = record == (None, None) and self.loopings == 0
-        if not ok:
-            raise StructureError("meta source-kind, looping-kind and loopings >= 1 come "
-                                 "together, and only with origin=looping")
+        broken = _broken_provenance_rule(vars(self))
+        if broken:
+            raise StructureError(broken[1])
 
     def meta_items(self) -> list[tuple[str, str]]:
         """The key=value pairs of this provenance's `meta` line, in field order.
@@ -144,6 +143,37 @@ _META_KEYS = {f.name.replace("_", "-"): f.name for f in fields(Provenance)}
 # The values allowed for each `meta` key that takes one of a fixed set.
 _META_VALUES = {"origin": ("family", "looping"), "source-kind": ("theta", "handcuff"),
                 "looping-kind": ("plain", "tunnel", "knot"), "mirror": ("true", "false")}
+
+
+def _broken_provenance_rule(values: Mapping[str, object]) -> tuple[str, str] | None:
+    """(meta key, message) of the first `Provenance` rule that the field
+    values break, or None."""
+    for key in ("origin", "source-kind", "looping-kind"):
+        value = values[_META_KEYS[key]]
+        if (value is not None or key == "origin") and value not in _META_VALUES[key]:
+            return key, _meta_value_message(key, value)
+    if values["loopings"] < 0:
+        return "loopings", "meta loopings must not be negative"
+    if values["n"] is not None and values["n"] < 2:
+        return "n", f"meta n must be at least 2, got {values['n']}"
+    for key in ("family", "variant"):
+        value = values[key]
+        if value is not None and ("#" in value or any(c.isspace() for c in value)):
+            return key, f"meta {key} must be one token, got {value!r}"
+    record = (values["source_kind"], values["looping_kind"])
+    if values["origin"] == "looping":
+        ok = None not in record and values["loopings"] >= 1
+    else:
+        ok = record == (None, None) and values["loopings"] == 0
+    if ok:
+        return None
+    return "origin", ("meta source-kind, looping-kind and loopings >= 1 come together, "
+                      "and only with origin=looping")
+
+
+def _meta_value_message(key: str, value) -> str:
+    *rest, last = _META_VALUES[key]
+    return f"meta {key} must be {', '.join(rest)} or {last}, got {value!r}"
 
 
 @dataclass(frozen=True)
@@ -1155,13 +1185,6 @@ def _meta_int(meta: dict[str, str], lines: dict[str, int], key: str) -> int | No
             f"meta {key} must be an integer, got {meta[key]!r}", lines[key]) from None
 
 
-def _check_meta_value(meta: dict[str, str], lines: dict[str, int], key: str) -> None:
-    *rest, last = _META_VALUES[key]
-    if key in meta and meta[key] not in _META_VALUES[key]:
-        raise StructureError(f"meta {key} must be {', '.join(rest)} or {last}, got {meta[key]!r}",
-                             lines[key])
-
-
 def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance | None:
     """Provenance from `meta` tokens; `lines` holds each key's line number."""
     if not meta:
@@ -1171,18 +1194,14 @@ def _prov_from_meta(meta: dict[str, str], lines: dict[str, int]) -> Provenance |
     for key in meta:
         if key not in _META_KEYS:
             raise StructureError(f"unknown meta key {key!r}", lines[key])
-    _check_meta_value(meta, lines, "origin")
-    loopings = _meta_int(meta, lines, "loopings") or 0
-    if loopings < 0:
-        raise StructureError("meta loopings must not be negative", lines["loopings"])
-    n = _meta_int(meta, lines, "n")
-    if n is not None and n < 2:
-        raise StructureError(f"meta n must be at least 2, got {n}", lines["n"])
-    for key in ("source-kind", "looping-kind", "mirror"):
-        _check_meta_value(meta, lines, key)
-    values = {_META_KEYS[key]: value for key, value in meta.items()}
-    values.update(loopings=loopings, n=n, mirror=meta.get("mirror") == "true")
+    values = {f.name: f.default for f in fields(Provenance)}
+    values.update((_META_KEYS[key], value) for key, value in meta.items())
+    values.update(loopings=_meta_int(meta, lines, "loopings") or 0, n=_meta_int(meta, lines, "n"))
+    if meta.get("mirror", "false") not in _META_VALUES["mirror"]:
+        raise StructureError(_meta_value_message("mirror", meta["mirror"]), lines["mirror"])
+    values["mirror"] = meta.get("mirror") == "true"
     try:
         return Provenance(**values)
     except StructureError as err:
-        raise StructureError(str(err), lines["origin"]) from None
+        key, _ = _broken_provenance_rule(values)
+        raise StructureError(str(err), lines[key]) from None

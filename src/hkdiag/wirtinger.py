@@ -8,10 +8,16 @@ ends. The Smith normal form of that small relation matrix gives the group
 and exact integer coordinates for every meridian.
 
 Splitting the circle of a knot code at its under-passes gives the arcs of
-the Fox-calculus matrix of the one-variable Alexander polynomial. Its rows
-hold at most three nonzeros, so its determinant is taken by sparse Bareiss
-elimination over Z[t, t^-1] in Markowitz order, which rescales a row only
-when it is next updated or pivoted on, every division exact. Those
+the Fox-calculus matrix of the one-variable Alexander polynomial. Before its
+determinant is taken, unit pivots are eliminated from the minor: a kink row
+u (e_a - e_b), u a unit, goes and merges arcs a and b (rule A), and two rows
+of opposite sign under one over arc, joined by an arc no other row meets,
+combine into such a row and go with that arc (rule B). Each step changes the
+determinant by a unit +-t^k only (Crowell and Fox, 1963, ch. VII), which
+normalization removes, on planar and virtual codes alike. What is left
+holds at most three nonzeros per row, so its determinant is taken by sparse
+Bareiss elimination over Z[t, t^-1] in Markowitz order, which rescales a
+row only when it is next updated or pivoted on, every division exact. Those
 polynomials certify that constituent knots of a graph code are knotted.
 """
 
@@ -181,6 +187,11 @@ def loop_class(g: SpatialGraphCode, marked: MarkedLoop,
 
 # --- Alexander polynomial -------------------------------------------------------
 
+# Fox derivative entries of a crossing's row, by sign: incoming under arc,
+# over arc, outgoing under arc.
+_FOX_ENTRIES = {s: (LaurentPoly.t(s), LaurentPoly.constant(1) - LaurentPoly.t(s),
+                    LaurentPoly.constant(-1)) for s in (1, -1)}
+
 
 def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     """The one-variable Alexander polynomial of a knot code, normalized.
@@ -188,39 +199,141 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     The code must be a single-circle link. Rows follow the free derivative
     of the crossing relations: at a positive crossing the incoming under
     arc contributes t, the over arc 1 - t, and the outgoing arc -1; at a
-    negative crossing t is inverted. One row and one column are dropped,
-    and sparse Bareiss elimination over Z[t, t^-1] in Markowitz order,
-    with lazy rescaling (`bareiss_det`), takes the determinant, every
-    division exact. The result is shifted to lowest degree zero with
-    positive leading coefficient. For codes of genuine knot diagrams the
-    value at 1 is a unit; garbage codes make no such promise.
+    negative crossing t is inverted. The last row and the last arc's column
+    are dropped. Unit pivots of that minor are then eliminated, arcs standing
+    for the classes merged so far (`_eliminate_units`):
+    (A) a kink row, whose over arc is its incoming or outgoing arc, is
+        u (e_in - e_out) for a unit u in {1, t, t^-1}; it goes, and its two
+        arcs merge into one column (merged with the dropped column, both drop);
+    (B) two rows j, k of opposite sign under the same over arc, joined by an
+        arc X = out(j) = in(k) that no other row meets, give
+        row_k + t^-s row_j = e_in(j) - e_out(k) for s the sign of j; column
+        X then holds one unit, so both rows and X go and in(j) merges with
+        out(k).
+    Each step scales the determinant by a unit +-t^k (Crowell and Fox,
+    Introduction to Knot Theory, 1963, ch. VII). The argument is about the
+    matrix alone, so it holds for virtual codes too. Sparse Bareiss
+    elimination over Z[t, t^-1] in Markowitz order, with lazy rescaling
+    (`bareiss_det`), takes the determinant of what is left, every division
+    exact. The result is shifted to lowest degree zero with positive
+    leading coefficient. For codes of genuine knot diagrams the value at 1
+    is a unit; garbage codes make no such promise.
     """
     if g.kind != "link" or len(g.edges) != 1:
         raise StructureError("the Alexander polynomial applies to knot codes")
     e = g.edges[0]
-    # Arc j runs from the j-th under-pass to the next one, cyclically; the
-    # arc through a pass is the count of under-passes before it.
-    unders: list[int] = []
-    arc_at: list[int] = []
-    for i, p in enumerate(e.passes):
-        arc_at.append(len(unders))
+    # Arc j ends at under-pass j, counted from 0, and arc 0 also holds the
+    # passes after the last one: an over-pass lies on the arc numbered by
+    # the under-passes before it, mod m.
+    unders: list[str] = []
+    over_arc: dict[str, int] = {}
+    for p in e.passes:
         if p.position == "under":
-            unders.append(i)
+            unders.append(p.crossing)
+        else:
+            over_arc[p.crossing] = len(unders)
     m = len(unders)
-    if m <= 1:
-        return LaurentPoly.constant(1)
-
     one = LaurentPoly.constant(1)
-    rows = []
-    for j, position in enumerate(unders[: m - 1]):
-        crossing = e.passes[position].crossing
-        t = LaurentPoly.t(1 if g.sign(crossing) == 1 else -1)
-        over_pos = next(p for _, p, where in g.crossing_passes()[crossing] if where == "over")
-        row = [LaurentPoly()] * m
-        for col, entry in ((j, t), (arc_at[over_pos] % m, one - t), ((j + 1) % m, -one)):
-            row[col] = row[col] + entry
-        rows.append(row[: m - 1])
-    return bareiss_det(rows, one).normalized()
+    if m <= 1:
+        return one
+    rows = [(j, over_arc[c] % m, j + 1, g.sign(c)) for j, c in enumerate(unders[: m - 1])]
+    kept = _eliminate_units(rows, m)
+    if not kept:
+        return one
+    column: dict[int, int] = {}  # class -> column of the smaller matrix
+    sparse = []
+    for *arcs, sign in kept:
+        row: dict[int, LaurentPoly] = {}
+        for c, entry in zip(arcs, _FOX_ENTRIES[sign]):
+            if c is not None:
+                k = column.setdefault(c, len(column))
+                row[k] = row[k] + entry if k in row else entry
+        sparse.append(row)
+    zero = LaurentPoly()
+    matrix = [[row.get(k, zero) for k in range(len(kept))] for row in sparse]
+    return bareiss_det(matrix, one).normalized()
+
+
+def _eliminate_units(rows: list[tuple[int, int, int, int]], m: int) -> list[tuple]:
+    """Rules (A) and (B) of `alexander_polynomial` on the Fox minor.
+
+    `rows` holds (in arc, over arc, out arc, sign) of the kept rows, arcs
+    0..m-1, the column of arc m-1 being dropped. A union-find merges arc
+    classes; a class merged with the dropped one is dropped too. Returns the
+    rows left, each arc replaced by its class, or None where dropped.
+
+    The rows chain from in to out arc, from arc 0 to arc m-1, and both
+    rules only shorten that chain, so the classes left that are not dropped
+    are one column per row left. The scan never restarts: a merge re-queues
+    the rows of its smaller class, which holds every row that can newly
+    match a rule, and a deletion those of any class it leaves with two
+    slots, which may now be a pair's middle arc.
+    """
+    parent = list(range(m))
+    dropped = [False] * m
+    dropped[m - 1] = True
+    touching: list[list[int]] = [[] for _ in range(m)]  # per class, one entry per row slot
+    for i, row in enumerate(rows):
+        for arc in row[:3]:
+            touching[arc].append(i)
+    uses = [len(t) for t in touching]  # slots of kept rows in each class
+    alive = [True] * len(rows)
+    work = list(range(len(rows)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def live(c: int) -> list[int]:
+        touching[c] = [i for i in touching[c] if alive[i]]
+        return touching[c]
+
+    def delete(i: int) -> None:
+        alive[i] = False
+        for arc in rows[i][:3]:
+            c = find(arc)
+            uses[c] -= 1
+            if uses[c] == 2:
+                work.extend(live(c))
+
+    def union(a: int, b: int) -> None:
+        if len(touching[a]) < len(touching[b]):
+            a, b = b, a
+        parent[b] = a
+        dropped[a] = dropped[a] or dropped[b]
+        uses[a] += uses[b]
+        touching[a] += touching[b]
+        work.extend(i for i in touching[b] if alive[i])
+        touching[b] = []
+
+    while work:
+        i = work.pop()
+        if not alive[i]:
+            continue
+        a, v, b, _ = rows[i]
+        a, v, b = find(a), find(v), find(b)
+        if a != b and v in (a, b):  # (A) a kink row
+            delete(i)
+            union(a, b)
+            continue
+        for x in (b, a):  # (B) row i first or second of a pair through x
+            if uses[x] != 2 or dropped[x]:
+                continue
+            pair = [k for k in live(x) if k != i]
+            if len(pair) != 1:
+                continue
+            j, k = (i, pair[0]) if x == b else (pair[0], i)
+            (aj, vj, bj, sj), (ak, vk, bk, sk) = rows[j], rows[k]
+            aj, bk = find(aj), find(bk)
+            if find(bj) == x == find(ak) and find(vj) == find(vk) and sj != sk and aj != bk:
+                delete(j)
+                delete(k)
+                union(aj, bk)
+                break
+    return [tuple(None if dropped[c] else c for c in map(find, row[:3])) + (row[3],)
+            for i, row in enumerate(rows) if alive[i]]
 
 
 def constituent_invariants(g: SpatialGraphCode) -> tuple[dict, dict]:

@@ -1,0 +1,45 @@
+"""The unreduced Fox minor of a knot code, built without the library's code.
+
+An oracle for `alexander_polynomial`, which eliminates unit pivots before
+its determinant: the minor here keeps every row. Number the under-passes
+0..m-1 along the circle. Crossing r (by its under-pass) gives row r:
++t^s at its incoming arc r, +(1 - t^s) at the arc carrying its over-pass,
+and -1 at its outgoing arc r+1 mod m, for s its sign. An over-pass lies on
+the arc that ends at the next under-pass along the circle, found by walking
+forward and wrapping around. Row m-1 and column m-1 are dropped, the same
+minor the library starts from.
+"""
+
+from hkdiag.homology import LaurentPoly
+
+
+def fox_minor(g):
+    """The (m-1)x(m-1) minor of the Fox matrix of a one-circle link code,
+    as dense rows of LaurentPoly."""
+    (edge,) = g.edges
+    passes = edge.passes
+    sign = {c.id: c.sign for c in g.crossings}
+    under_rank = {}
+    for i, p in enumerate(passes):
+        if p.position == "under":
+            under_rank[i] = len(under_rank)
+    m = len(under_rank)
+
+    def arc_of(i):
+        for step in range(len(passes)):
+            j = (i + step) % len(passes)
+            if j in under_rank:
+                return under_rank[j]
+
+    over_at = {p.crossing: i for i, p in enumerate(passes) if p.position == "over"}
+    one, zero = LaurentPoly.constant(1), LaurentPoly()
+    rows = []
+    for i, r in sorted(under_rank.items(), key=lambda item: item[1]):
+        crossing = passes[i].crossing
+        t = LaurentPoly.t(sign[crossing])
+        row = [zero] * m
+        for column, entry in ((r, t), (arc_of(over_at[crossing]), one - t),
+                              ((r + 1) % m, -one)):
+            row[column] = row[column] + entry
+        rows.append(row[: m - 1])
+    return rows[: m - 1]

@@ -9,14 +9,25 @@ up to a unit +-t^k, where R is the reduced Burau representation (Burau
 oracle below is computed with sympy alone. Mirroring a braid inverts t and
 the Alexander polynomial is symmetric, so the handedness convention of the
 generators does not matter.
+
+A second oracle checks the unit eliminations that `alexander_polynomial`
+makes before its determinant: the dense determinant of the unreduced Fox
+minor (`fox_oracle.py`, `det_oracle.py`) on any one-circle code, virtual
+ones included, and on braid closures padded with cancelling pairs and kinks.
 """
 
+from unittest import mock
+
+import pytest
 import sympy
 from hypothesis import given, seed, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from det_oracle import dense_bareiss_det
+from fox_oracle import fox_minor
+from hkdiag import wirtinger
 from hkdiag.homology import LaurentPoly
-from hkdiag.spatial import closed_braid
+from hkdiag.spatial import Crossing, EdgeCode, Pass, SpatialGraphCode, closed_braid
 from hkdiag.wirtinger import alexander_polynomial
 
 T = sympy.Symbol("t")
@@ -107,3 +118,125 @@ def test_alexander_polynomial_matches_burau(braid):
 def test_alexander_polynomial_matches_burau_on_five_strands(braid):
     word, strands = braid
     assert alexander_polynomial(closed_braid(word, strands)) == burau_alexander(word, strands)
+
+
+# --- unit eliminations against the unreduced Fox minor -------------------------
+
+ONE = LaurentPoly.constant(1)
+
+
+def knot_code(passes, signs) -> SpatialGraphCode:
+    """A one-circle code from (crossing, position) pairs and crossing signs."""
+    edge = EdgeCode("k", None, None, tuple(Pass(c, where) for c, where in passes))
+    return SpatialGraphCode("link", (), (edge,), tuple(Crossing(c, s) for c, s in signs.items()))
+
+
+def minor_det(g) -> LaurentPoly:
+    return dense_bareiss_det(fox_minor(g), ONE).normalized()
+
+
+def bareiss_sizes(g) -> tuple[LaurentPoly, list[int]]:
+    """alexander_polynomial(g) and the orders of the matrices it hands to
+    bareiss_det."""
+    with mock.patch.object(wirtinger, "bareiss_det", wraps=wirtinger.bareiss_det) as det:
+        value = alexander_polynomial(g)
+    return value, [len(call.args[0]) for call in det.call_args_list]
+
+
+@st.composite
+def gauss_codes(draw):
+    """Random one-circle codes of 1-12 crossings: every crossing passed once
+    over and once under, in any order, with any signs. Nearly all are
+    virtual."""
+    n = draw(st.integers(1, 12))
+    passes = draw(st.permutations([(f"x{c}", where) for c in range(n)
+                                   for where in ("over", "under")]))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return knot_code(passes, {f"x{c}": s for c, s in enumerate(signs)})
+
+
+@st.composite
+def padded_braids(draw):
+    """(closure of a knotted braid word, the same closure with cancelling
+    pairs s_i s_i^-1 inserted into the word and kinks into the circle)."""
+    word, strands = draw(knotted_braids(max_letters=12))
+    padded = list(word)
+    for _ in range(draw(st.integers(0, 4))):
+        i, s = draw(st.integers(1, strands - 1)), draw(st.sampled_from((1, -1)))
+        at = draw(st.integers(0, len(padded)))
+        padded[at:at] = [(i, s), (i, -s)]
+    g = closed_braid(padded, strands)
+    passes = [(p.crossing, p.position) for p in g.edges[0].passes]
+    signs = {c.id: c.sign for c in g.crossings}
+    for n in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(passes)))
+        first = draw(st.sampled_from(("over", "under")))
+        passes[at:at] = [(f"kink{n}", first), (f"kink{n}", "under" if first == "over" else "over")]
+        signs[f"kink{n}"] = draw(st.sampled_from((1, -1)))
+    return closed_braid(word, strands), knot_code(passes, signs)
+
+
+@seed(20262)
+@settings(max_examples=200, deadline=None)
+@given(gauss_codes())
+def test_alexander_polynomial_matches_the_unreduced_minor(g):
+    assert alexander_polynomial(g) == minor_det(g)
+
+
+@seed(20263)
+@settings(max_examples=60, deadline=None)
+@given(padded_braids())
+def test_padding_a_braid_closure_keeps_its_alexander_polynomial(closures):
+    plain, padded = closures
+    assert alexander_polynomial(padded) == minor_det(padded) == alexander_polynomial(plain)
+
+
+def test_a_pair_whose_middle_arc_carries_an_over_pass_is_kept():
+    """x2 and x5 are consecutive under-passes of opposite sign under one over
+    arc, but the arc between them carries x1's over-pass, which a kept row
+    reads, so rule B must not merge it; nothing else reduces either."""
+    passes = [("x4", "over"), ("x2", "under"), ("x1", "over"), ("x5", "under"),
+              ("x4", "under"), ("x1", "under"), ("x5", "over"), ("x2", "over"),
+              ("x3", "over"), ("x3", "under")]
+    g = knot_code(passes, {"x1": 1, "x2": -1, "x3": 1, "x4": -1, "x5": 1})
+    value, sizes = bareiss_sizes(g)
+    assert sizes == [4]
+    assert value == minor_det(g) == LaurentPoly.from_dict({0: 1, 1: -1, 2: 1})
+
+
+def test_the_virtual_trefoil_matches_the_unreduced_minor():
+    g = knot_code([("x1", "over"), ("x2", "over"), ("x1", "under"), ("x2", "under")],
+                  {"x1": 1, "x2": 1})
+    assert alexander_polynomial(g) == minor_det(g) == ONE
+
+
+def test_cancelling_pairs_leave_the_matrix_size_alone():
+    fig8 = [(1, 1), (2, -1), (1, 1), (2, -1)]
+    padded = [(1, -1), (1, 1), *fig8[:2], (2, 1), (2, -1), *fig8[2:], (1, 1), (1, -1)]
+    value, sizes = bareiss_sizes(closed_braid(fig8, 3))
+    assert (value, sizes) == (LaurentPoly.from_dict({0: 1, 1: -3, 2: 1}), [3])
+    assert bareiss_sizes(closed_braid(padded, 3)) == (value, sizes)
+
+
+# Codes whose unit eliminations leave no row: a braid closure of kinks and
+# cancelling pairs; a row that is a kink only once an earlier kink merged
+# two of its arcs; and a pair (c3, c4) whose middle arc carries the
+# over-passes of another pair (c0, c1), so it reduces only once that pair
+# has gone.
+FULLY_REDUCED = [
+    closed_braid([(1, 1), (1, 1), (1, -1), (2, 1), (2, -1), (2, -1)], 3),
+    knot_code([("c1", "over"), ("c0", "under"), ("c0", "over"), ("c2", "over"),
+               ("c3", "over"), ("c1", "under"), ("c2", "under"), ("c3", "under"),
+               ("c4", "over"), ("c4", "under")], {f"c{i}": 1 for i in range(5)}),
+    knot_code([("c5", "over"), ("c0", "under"), ("c1", "under"), ("c2", "under"),
+               ("c3", "under"), ("c0", "over"), ("c1", "over"), ("c4", "under"),
+               ("c2", "over"), ("c5", "under"), ("c3", "over"), ("c4", "over"),
+               ("c6", "over"), ("c6", "under")],
+              {"c0": 1, "c1": -1, "c2": 1, "c3": 1, "c4": -1, "c5": 1, "c6": 1}),
+]
+
+
+@pytest.mark.parametrize("g", FULLY_REDUCED)
+def test_a_code_that_reduces_fully_skips_the_determinant(g):
+    assert len(fox_minor(g)) > 1 and minor_det(g) == ONE
+    assert bareiss_sizes(g) == (ONE, [])

@@ -1111,6 +1111,50 @@ def test_provenance_refuses_a_record_no_looping_writes():
         assert err.value.line is None
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"origin": "banana", "family": "torus-link", "n": 1},
+     "meta origin must be family or looping, got 'banana'"),
+    ({"origin": "family", "n": 1}, "meta n must be at least 2, got 1"),
+    ({"origin": "family", "loopings": -1}, "meta loopings must not be negative"),
+    ({"origin": "looping", "source_kind": "moose", "looping_kind": "knot", "loopings": 1},
+     "meta source-kind must be theta or handcuff, got 'moose'"),
+    ({"origin": "family", "family": "torus link"}, "meta family must be one token, got 'torus link'"),
+    ({"origin": "family", "variant": "a#b"}, "meta variant must be one token, got 'a#b'"),
+])
+def test_provenance_refuses_values_its_meta_line_cannot_carry(values, message):
+    with pytest.raises(StructureError) as err:
+        Provenance(**values)
+    assert str(err.value) == message and err.value.line is None
+
+
+@st.composite
+def provenance_values(draw):
+    """Provenance field values: a looping record drawn for origin=looping
+    only, and every field ranging over allowed and refused values."""
+    origin = draw(st.sampled_from(("family", "looping", "banana")))
+    record = {"loopings": draw(st.integers(-1, 1))}
+    if origin == "looping":
+        record = {"source_kind": draw(st.sampled_from(("theta", "handcuff", "moose"))),
+                  "looping_kind": draw(st.sampled_from(("plain", "tunnel", "knot", "banana"))),
+                  "loopings": draw(st.integers(-1, 4))}
+    return dict(origin=origin, **record, family=draw(st.none() | st.text(max_size=6)),
+                n=draw(st.none() | st.integers(-1, 30)),
+                variant=draw(st.none() | st.text(max_size=6)), mirror=draw(st.booleans()))
+
+
+@seed(20264)
+@settings(max_examples=300, deadline=None)
+@given(provenance_values())
+def test_every_provenance_that_constructs_reads_back_equal(values):
+    try:
+        prov = Provenance(**values)
+    except StructureError as err:
+        assert err.line is None
+        return
+    code = replace(family_torus_link(2, tunnel=True), provenance=prov)
+    assert parse_code(format_code(code)).provenance == prov
+
+
 def test_a_looping_origin_needs_a_handcuff_code():
     spine = bundled_spine()
     looped = replace(spine, provenance=Provenance(
