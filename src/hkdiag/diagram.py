@@ -79,6 +79,11 @@ class CharDiagram:
     endpoints, no duplicate ids, each id one token without `#`, as the file
     format reads it) is enforced at construction, the domain constraints
     are checked by `validate`.
+
+    Connectivity and cut edges come from a plain component count per query,
+    which may leave one edge out. That is enough because a valid diagram has
+    at most three edges: each one meets the labeled node (C-iv), whose
+    degree is at most three (C-vii).
     """
 
     nodes: tuple[Node, ...]
@@ -146,62 +151,30 @@ class CharDiagram:
         families = Counter(e for e in self.edges if e[0] != e[1])
         return sum(m * (m - 1) // 2 for m in families.values())
 
-    @cached_property
-    def _search(self) -> tuple[int, frozenset[int]]:
-        """(connected components, indices of bridge edges), from one search.
-
-        An iterative depth-first search finds the bridges by Tarjan's low
-        points: the tree edge from v to w is a bridge when no other edge
-        leaving w's subtree reaches v or above it. Parallel copies are
-        told apart by edge index, so they are never bridges; loops are
-        skipped.
-        """
-        adjacency: dict[str, list[tuple[int, str]]] = {n.id: [] for n in self.nodes}
+    def _components(self, without: int | None = None) -> int:
+        """Connected components, with edge `without` left out if given."""
+        adjacency: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for i, (a, b) in enumerate(self.edges):
-            if a != b:
-                adjacency[a].append((i, b))
-                adjacency[b].append((i, a))
-        order: dict[str, int] = {}
-        low: dict[str, int] = {}
-        bridges = set()
+            if i != without:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
         components = 0
-        for root in adjacency:
-            if root in order:
-                continue
+        while adjacency:  # each node's list is taken out once, when it is reached
             components += 1
-            order[root] = low[root] = len(order)
-            stack = [(root, None, iter(adjacency[root]))]
+            _, stack = adjacency.popitem()
             while stack:
-                here, via, rest = stack[-1]
-                for i, there in rest:
-                    if i == via:
-                        continue
-                    if there in order:
-                        low[here] = min(low[here], order[there])
-                    else:
-                        order[there] = low[there] = len(order)
-                        stack.append((there, i, iter(adjacency[there])))
-                        break
-                else:
-                    stack.pop()
-                    if stack:
-                        parent = stack[-1][0]
-                        low[parent] = min(low[parent], low[here])
-                        if low[here] > order[parent]:
-                            bridges.add(via)
-        return components, frozenset(bridges)
+                stack += adjacency.pop(stack.pop(), ())
+        return components
 
     def is_connected(self) -> bool:
-        return self._search[0] <= 1
+        return self._components() <= 1
 
     def is_cut_edge(self, index: int) -> bool:
         """Whether removing one copy of the edge disconnects the diagram.
 
         In a diagram that is already disconnected every non-loop edge does.
         """
-        return not self.is_loop(index) and (
-            not self.is_connected() or index in self._search[1]
-        )
+        return not self.is_loop(index) and self._components(index) > 1
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -288,7 +261,7 @@ def canonical_form(d: CharDiagram, labels: Sequence[str] | None = None) -> str:
         encoding = nodes_part + "|" + edges_part
         if best is None or encoding < best:
             best = encoding
-    return best if best is not None else "|"
+    return best
 
 
 _UNKNOWN_REALIZATION = {

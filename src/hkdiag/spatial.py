@@ -556,14 +556,11 @@ def loop_at(g: SpatialGraphCode, vertex_id: str,
     x1 = _fresh("x", taken_crossings)
     x2 = _fresh("x", taken_crossings | {x1})
 
-    if mirror:
-        ring_passes = (Pass(x1, "under"), Pass(x2, "over"))
-        strand_insert = (Pass(x1, "over"), Pass(x2, "under"))
-        ring_sign = -1
-    else:
-        ring_passes = (Pass(x1, "over"), Pass(x2, "under"))
-        strand_insert = (Pass(x1, "under"), Pass(x2, "over"))
-        ring_sign = 1
+    # The ring passes over at x1 and under at x2; its mirror the other way.
+    first, second = ("under", "over") if mirror else ("over", "under")
+    ring_passes = (Pass(x1, first), Pass(x2, second))
+    strand_insert = (Pass(x1, second), Pass(x2, first))
+    ring_sign = -1 if mirror else 1
 
     passes, flipped = _through_vertex(g, p, q, strand_insert)
     far_p, far_q = (p[0], 1 - p[1]), (q[0], 1 - q[1])

@@ -8,17 +8,16 @@ ends. The Smith normal form of that small relation matrix gives the group
 and exact integer coordinates for every meridian.
 
 Splitting the circle of a knot code at its under-passes gives the arcs of
-the Fox-calculus matrix of the one-variable Alexander polynomial. Before its
-determinant is taken, unit pivots are eliminated from the minor: a kink row
-u (e_a - e_b), u a unit, goes and merges arcs a and b (rule A), and two rows
-of opposite sign under one over arc, joined by an arc no other row meets,
-combine into such a row and go with that arc (rule B). Each step changes the
-determinant by a unit +-t^k only (Crowell and Fox, 1963, ch. VII), which
-normalization removes, on planar and virtual codes alike. What is left
-holds at most three nonzeros per row, so its determinant is taken by sparse
-Bareiss elimination over Z[t, t^-1] in Markowitz order, which rescales a
-row only when it is next updated or pivoted on, every division exact. Those
-polynomials certify that constituent knots of a graph code are knotted.
+the Fox-calculus matrix of the one-variable Alexander polynomial. Row j
+runs from arc j into arc j+1, so once the last row is dropped the rows
+chain the arcs from first to last. Unit pivots are then eliminated (rules
+A and B of `alexander_polynomial`); both only contract that chain, so r
+rows left span r+1 arc classes. Every row sums to zero, so any one column
+may go, and each elimination changes the determinant by a unit +-t^k only
+(Crowell and Fox, 1963, ch. VII), on planar and virtual codes alike. Sparse
+Bareiss elimination over Z[t, t^-1] takes the determinant of what is left,
+every division exact. Those polynomials certify that constituent knots of
+a graph code are knotted.
 """
 
 from __future__ import annotations
@@ -199,12 +198,13 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     The code must be a single-circle link. Rows follow the free derivative
     of the crossing relations: at a positive crossing the incoming under
     arc contributes t, the over arc 1 - t, and the outgoing arc -1; at a
-    negative crossing t is inverted. The last row and the last arc's column
-    are dropped. Unit pivots of that minor are then eliminated, arcs standing
-    for the classes merged so far (`_eliminate_units`):
+    negative crossing t is inverted. The last row is dropped first, since
+    on a virtual code the value depends on which row goes. Unit pivots of
+    the rows left are then eliminated, arcs standing for the classes merged
+    so far (`_eliminate_units`):
     (A) a kink row, whose over arc is its incoming or outgoing arc, is
         u (e_in - e_out) for a unit u in {1, t, t^-1}; it goes, and its two
-        arcs merge into one column (merged with the dropped column, both drop);
+        arcs merge into one column;
     (B) two rows j, k of opposite sign under the same over arc, joined by an
         arc X = out(j) = in(k) that no other row meets, give
         row_k + t^-s row_j = e_in(j) - e_out(k) for s the sign of j; column
@@ -212,12 +212,12 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
         out(k).
     Each step scales the determinant by a unit +-t^k (Crowell and Fox,
     Introduction to Knot Theory, 1963, ch. VII). The argument is about the
-    matrix alone, so it holds for virtual codes too. Sparse Bareiss
-    elimination over Z[t, t^-1] in Markowitz order, with lazy rescaling
-    (`bareiss_det`), takes the determinant of what is left, every division
-    exact. The result is shifted to lowest degree zero with positive
-    leading coefficient. For codes of genuine knot diagrams the value at 1
-    is a unit; garbage codes make no such promise.
+    matrix alone, so it holds for virtual codes too. The column numbered
+    last is dropped last: every row sums to zero, so any column gives the
+    same minor up to sign. `bareiss_det` takes its determinant, shifted to
+    lowest degree zero with positive leading coefficient. For codes of
+    genuine knot diagrams the value at 1 is a unit; garbage codes make no
+    such promise.
     """
     if g.kind != "link" or len(g.edges) != 1:
         raise StructureError("the Alexander polynomial applies to knot codes")
@@ -245,9 +245,8 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     for *arcs, sign in kept:
         row: dict[int, LaurentPoly] = {}
         for c, entry in zip(arcs, _FOX_ENTRIES[sign]):
-            if c is not None:
-                k = column.setdefault(c, len(column))
-                row[k] = row[k] + entry if k in row else entry
+            k = column.setdefault(c, len(column))
+            row[k] = row[k] + entry if k in row else entry
         sparse.append(row)
     zero = LaurentPoly()
     matrix = [[row.get(k, zero) for k in range(len(kept))] for row in sparse]
@@ -255,23 +254,23 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
 
 
 def _eliminate_units(rows: list[tuple[int, int, int, int]], m: int) -> list[tuple]:
-    """Rules (A) and (B) of `alexander_polynomial` on the Fox minor.
+    """Rules (A) and (B) of `alexander_polynomial` on the Fox matrix less
+    its last row.
 
     `rows` holds (in arc, over arc, out arc, sign) of the kept rows, arcs
-    0..m-1, the column of arc m-1 being dropped. A union-find merges arc
-    classes; a class merged with the dropped one is dropped too. Returns the
-    rows left, each arc replaced by its class, or None where dropped.
+    0..m-1. A union-find merges arc classes. Returns the rows left, each arc
+    replaced by its class.
 
     The rows chain from in to out arc, from arc 0 to arc m-1, and both
-    rules only shorten that chain, so the classes left that are not dropped
-    are one column per row left. The scan never restarts: a merge re-queues
-    the rows of its smaller class, which holds every row that can newly
-    match a rule, and a deletion those of any class it leaves with two
-    slots, which may now be a pair's middle arc.
+    rules only contract that chain. So a row's in and out classes always
+    differ, and so do the outer classes of a pair; the class of arc m-1
+    stays the chain's end, never a pair's middle arc; and the r rows left
+    span r+1 classes. The scan never restarts: a merge re-queues the rows
+    of its smaller class, which holds every row that can newly match a
+    rule, and a deletion those of any class it leaves with two slots, which
+    may now be a pair's middle arc.
     """
     parent = list(range(m))
-    dropped = [False] * m
-    dropped[m - 1] = True
     touching: list[list[int]] = [[] for _ in range(m)]  # per class, one entry per row slot
     for i, row in enumerate(rows):
         for arc in row[:3]:
@@ -302,7 +301,6 @@ def _eliminate_units(rows: list[tuple[int, int, int, int]], m: int) -> list[tupl
         if len(touching[a]) < len(touching[b]):
             a, b = b, a
         parent[b] = a
-        dropped[a] = dropped[a] or dropped[b]
         uses[a] += uses[b]
         touching[a] += touching[b]
         work.extend(i for i in touching[b] if alive[i])
@@ -314,26 +312,22 @@ def _eliminate_units(rows: list[tuple[int, int, int, int]], m: int) -> list[tupl
             continue
         a, v, b, _ = rows[i]
         a, v, b = find(a), find(v), find(b)
-        if a != b and v in (a, b):  # (A) a kink row
+        if v in (a, b):  # (A) a kink row
             delete(i)
             union(a, b)
             continue
         for x in (b, a):  # (B) row i first or second of a pair through x
-            if uses[x] != 2 or dropped[x]:
+            if uses[x] != 2:
                 continue
-            pair = [k for k in live(x) if k != i]
-            if len(pair) != 1:
-                continue
-            j, k = (i, pair[0]) if x == b else (pair[0], i)
+            (other,) = (k for k in live(x) if k != i)
+            j, k = (i, other) if x == b else (other, i)
             (aj, vj, bj, sj), (ak, vk, bk, sk) = rows[j], rows[k]
-            aj, bk = find(aj), find(bk)
-            if find(bj) == x == find(ak) and find(vj) == find(vk) and sj != sk and aj != bk:
+            if find(bj) == x == find(ak) and find(vj) == find(vk) and sj != sk:
                 delete(j)
                 delete(k)
-                union(aj, bk)
+                union(find(aj), find(bk))
                 break
-    return [tuple(None if dropped[c] else c for c in map(find, row[:3])) + (row[3],)
-            for i, row in enumerate(rows) if alive[i]]
+    return [tuple(map(find, row[:3])) + (row[3],) for i, row in enumerate(rows) if alive[i]]
 
 
 def constituent_invariants(g: SpatialGraphCode) -> tuple[dict, dict]:

@@ -6,16 +6,18 @@ its determinant: the minor here keeps every row. Number the under-passes
 +t^s at its incoming arc r, +(1 - t^s) at the arc carrying its over-pass,
 and -1 at its outgoing arc r+1 mod m, for s its sign. An over-pass lies on
 the arc that ends at the next under-pass along the circle, found by walking
-forward and wrapping around. Row m-1 and column m-1 are dropped, the same
-minor the library starts from.
+forward and wrapping around. Row m-1 is dropped, as the library drops it,
+and one column: by default column m-1. Every row sums to zero, so each
+choice of column gives the same determinant up to sign.
 """
 
 from hkdiag.homology import LaurentPoly
 
 
-def fox_minor(g):
-    """The (m-1)x(m-1) minor of the Fox matrix of a one-circle link code,
-    as dense rows of LaurentPoly."""
+def fox_minor(g, column=-1):
+    """The (m-1)x(m-1) minor of the Fox matrix of a one-circle link code
+    without row m-1 and column `column` (a list index, -1 for m-1), as
+    dense rows of LaurentPoly."""
     (edge,) = g.edges
     passes = edge.passes
     sign = {c.id: c.sign for c in g.crossings}
@@ -38,8 +40,9 @@ def fox_minor(g):
         crossing = passes[i].crossing
         t = LaurentPoly.t(sign[crossing])
         row = [zero] * m
-        for column, entry in ((r, t), (arc_of(over_at[crossing]), one - t),
-                              ((r + 1) % m, -one)):
-            row[column] = row[column] + entry
-        rows.append(row[: m - 1])
+        for arc, entry in ((r, t), (arc_of(over_at[crossing]), one - t),
+                           ((r + 1) % m, -one)):
+            row[arc] = row[arc] + entry
+        del row[column]
+        rows.append(row)
     return rows[: m - 1]

@@ -13,7 +13,8 @@ generators does not matter.
 A second oracle checks the unit eliminations that `alexander_polynomial`
 makes before its determinant: the dense determinant of the unreduced Fox
 minor (`fox_oracle.py`, `det_oracle.py`) on any one-circle code, virtual
-ones included, and on braid closures padded with cancelling pairs and kinks.
+ones included, and on braid closures padded with cancelling pairs and kinks,
+with any one column of the minor left out.
 """
 
 from unittest import mock
@@ -189,6 +190,16 @@ def test_alexander_polynomial_matches_the_unreduced_minor(g):
 def test_padding_a_braid_closure_keeps_its_alexander_polynomial(closures):
     plain, padded = closures
     assert alexander_polynomial(padded) == minor_det(padded) == alexander_polynomial(plain)
+
+
+@seed(20264)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gauss_codes(), padded_braids().map(lambda closures: closures[1])), st.data())
+def test_every_column_of_the_minor_gives_the_same_polynomial(g, data):
+    """Each Fox row sums to zero, so the minor without row m-1 may leave out
+    any column; the library leaves out whichever it numbers last."""
+    column = data.draw(st.integers(0, len(fox_minor(g))))
+    assert dense_bareiss_det(fox_minor(g, column), ONE).normalized() == alexander_polynomial(g)
 
 
 def test_a_pair_whose_middle_arc_carries_an_over_pass_is_kept():

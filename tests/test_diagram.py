@@ -215,6 +215,12 @@ def test_canonical_form_decides_isomorphism(d1, d2):
     assert are_isomorphic(d1, d2) == expected
 
 
+def test_canonical_form_of_the_empty_diagram():
+    # permutations of no nodes yield one empty ordering, encoded as "|"
+    empty = CharDiagram.build([], [])
+    assert canonical_form(empty) == canonical_form(empty, labels=[]) == "|"
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_diagrams())
 def test_validate_is_relabeling_invariant(d):

@@ -1,7 +1,10 @@
-"""The package namespace: hkdiag re-exports each module's __all__, and its
-source keeps to exact arithmetic and the standard library."""
+"""The package namespace: hkdiag re-exports each module's __all__, its
+source keeps to exact arithmetic and the standard library, and every name
+the benchmark's tracer hooks still exists."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -80,3 +83,22 @@ def test_no_runtime_dependency():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_benchmark_hooks_name_existing_code():
+    """perfbench/spans.py wraps functions by name and methods by class, so a
+    rename in the package would break the traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, names in spans.SPANNED.items():
+        layer = importlib.import_module(f"hkdiag.{module}")
+        missing += [f"{module}.{name}" for name in names if not callable(getattr(layer, name, None))]
+    for module, cls_name, method, _ in spans.COUNTED:
+        cls = getattr(importlib.import_module(f"hkdiag.{module}"), cls_name, None)
+        if not callable(getattr(cls, method, None)):
+            missing.append(f"{module}.{cls_name}.{method}")
+    assert spans.SPANNED and spans.COUNTED and set(spans.SPANNED) <= set(spans.MODULES)
+    assert missing == []
