@@ -15,7 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _EXPORTS
 from .errors import StructureError
@@ -30,9 +30,21 @@ class NodeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Node:
+    """A decorated node whose id, kind and genus the file format can carry:
+    anything else raises StructureError naming the node."""
+
     id: str
     kind: NodeKind
     genus: int | None = None
+
+    def __post_init__(self):
+        i = self.id
+        if not isinstance(i, str) or i.split() != [i] or "#" in i:
+            raise StructureError(f"node id {i!r} is not one token without '#'")
+        if not isinstance(self.kind, NodeKind):
+            raise StructureError(f"node {i!r}: kind {self.kind!r} is not a NodeKind")
+        if self.genus is not None and type(self.genus) is not int:
+            raise StructureError(f"node {i!r}: genus {self.genus!r} is not an int")
 
     @property
     def is_labeled(self) -> bool:
@@ -74,11 +86,10 @@ class Violation:
 class CharDiagram:
     """An immutable multigraph with decorated nodes.
 
-    Edges are stored as endpoint pairs in input order, each pair sorted by
-    node id; parallel edges simply repeat. Structural sanity (no dangling
-    endpoints, no duplicate ids, each id one token without `#`, as the file
-    format reads it) is enforced at construction, the domain constraints
-    are checked by `validate`.
+    Nodes and edges are stored as tuples, edges as endpoint pairs in input
+    order, each pair sorted by node id; parallel edges simply repeat.
+    Structural sanity (no dangling endpoints, no duplicate ids) is enforced
+    at construction, the domain constraints are checked by `validate`.
 
     Connectivity and cut edges come from a plain component count per query,
     which may leave one edge out. That is enough because a valid diagram has
@@ -90,10 +101,9 @@ class CharDiagram:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "edges", tuple(self.edges))
         ids = [n.id for n in self.nodes]
-        for i in ids:
-            if i.split() != [i] or "#" in i:
-                raise StructureError(f"node id {i!r} is not one token without '#'")
         if len(set(ids)) != len(ids):
             raise StructureError("duplicate node id")
         known = set(ids)
@@ -101,13 +111,7 @@ class CharDiagram:
             for end in (a, b):
                 if end not in known:
                     raise StructureError(f"edge endpoint {end!r} is not a node")
-        object.__setattr__(
-            self, "edges", tuple(tuple(sorted(e)) for e in self.edges)
-        )
-
-    @classmethod
-    def build(cls, nodes: Iterable[Node], edges: Iterable[tuple[str, str]]) -> "CharDiagram":
-        return cls(tuple(nodes), tuple((a, b) for a, b in edges))
+        object.__setattr__(self, "edges", tuple(tuple(sorted(e)) for e in self.edges))
 
     def node(self, node_id: str) -> Node:
         for n in self.nodes:
@@ -321,7 +325,7 @@ def _enumerate_valid(single_bigon_rule: bool) -> tuple[CharDiagram, ...]:
             pairs = [(a, a) for a in ids] + list(itertools.combinations(ids, 2))
             for count in range(1, 4):
                 for combo in itertools.combinations_with_replacement(pairs, count):
-                    d = CharDiagram.build(nodes, combo)
+                    d = CharDiagram(nodes, combo)
                     if any(single_bigon_rule or v.code != "C-vi" for v in d.violations):
                         continue
                     key = canonical_form(d)

@@ -45,18 +45,10 @@ from .errors import StructureError
 
 __all__ = list(_EXPORTS["labeling"])
 
+LABEL_KINDS = ("h1", "h2", "k1", "k2", "l", "l0", "em")
 H_KINDS = ("h1", "h2")
 CUT_KINDS = ("k1", "k2", "em")
 NONCUT_KINDS = ("h1", "h2", "l", "l0")
-
-
-def _check_k2_slope(r: Fraction) -> Fraction:
-    r = Fraction(r)
-    if r == 0 or abs(r.numerator) == 1:
-        raise ValueError(
-            f"k2 slope must be nonzero and never a reciprocal of an integer, got {r}"
-        )
-    return r
 
 
 def slope_pair_classify(r1, r2) -> str:
@@ -91,45 +83,36 @@ def slope_pair_classify(r1, r2) -> str:
 
 @dataclass(frozen=True)
 class EdgeLabel:
-    """One annulus-type label. Use the classmethod constructors."""
+    """One annulus-type label: EdgeLabel("h2"), EdgeLabel("k2", slope=r) or
+    EdgeLabel("l", slopes=(r, s)). A label `parse_label` could not read back
+    from its str (see the module docstring) raises ValueError."""
 
     kind: str
     slope: Fraction | None = None
     slopes: tuple[Fraction, Fraction] | None = None
 
-    @classmethod
-    def h1(cls) -> "EdgeLabel":
-        return cls("h1")
-
-    @classmethod
-    def h2(cls) -> "EdgeLabel":
-        return cls("h2")
-
-    @classmethod
-    def k1(cls) -> "EdgeLabel":
-        return cls("k1")
-
-    @classmethod
-    def k2(cls, r) -> "EdgeLabel":
-        return cls("k2", slope=_check_k2_slope(r))
-
-    @classmethod
-    def l(cls, r1, r2) -> "EdgeLabel":
-        shape = slope_pair_classify(r1, r2)
-        if shape == "trivial":
-            raise ValueError("the trivial slope pair is written l0, not l(0,0)")
-        if shape == "invalid":
-            raise ValueError(f"slope pair ({r1}, {r2}) fits no annulus of this kind")
-        pair = tuple(sorted((Fraction(r1), Fraction(r2))))
-        return cls("l", slopes=pair)
-
-    @classmethod
-    def l0(cls) -> "EdgeLabel":
-        return cls("l0")
-
-    @classmethod
-    def em(cls) -> "EdgeLabel":
-        return cls("em")
+    def __post_init__(self):
+        if self.kind not in LABEL_KINDS:
+            raise ValueError(f"unknown label {self.kind!r}")
+        if (self.slope is not None, self.slopes is not None) != (self.kind == "k2", self.kind == "l"):
+            raise ValueError("k2 takes a slope and l a slope pair; no other label takes either")
+        if self.kind == "k2":
+            r = _fraction(self.slope)
+            if r == 0 or abs(r.numerator) == 1:
+                raise ValueError(
+                    f"k2 slope must be nonzero and never a reciprocal of an integer, got {r}"
+                )
+            object.__setattr__(self, "slope", r)
+        elif self.kind == "l":
+            if not isinstance(self.slopes, tuple) or len(self.slopes) != 2:
+                raise ValueError(f"label l needs two slopes, got {self.slopes!r}")
+            r1, r2 = (_fraction(r) for r in self.slopes)
+            shape = slope_pair_classify(r1, r2)
+            if shape == "trivial":
+                raise ValueError("the trivial slope pair is written l0, not l(0,0)")
+            if shape == "invalid":
+                raise ValueError(f"slope pair ({r1}, {r2}) fits no annulus of this kind")
+            object.__setattr__(self, "slopes", tuple(sorted((r1, r2))))
 
     @property
     def slope_shape(self) -> str | None:
@@ -157,24 +140,21 @@ def parse_label(token: str) -> EdgeLabel:
     if token in ("h1", "h2", "k1", "l0", "em"):
         return EdgeLabel(token)
     if token.startswith("k2(") and token.endswith(")"):
-        return EdgeLabel.k2(_parse_fraction(token[3:-1]))
+        return EdgeLabel("k2", slope=token[3:-1])
     if token.startswith("l(") and token.endswith(")"):
-        inner = token[2:-1]
-        parts = inner.split(",")
+        parts = token[2:-1].split(",")
         if len(parts) != 2:
             raise ValueError(f"label l needs two slopes, got {token!r}")
-        r1, r2 = (_parse_fraction(p) for p in parts)
-        if r1 == 0 and r2 == 0:
-            return EdgeLabel.l0()
-        return EdgeLabel.l(r1, r2)
+        slopes = tuple(_fraction(p) for p in parts)
+        return EdgeLabel("l0") if slopes == (0, 0) else EdgeLabel("l", slopes=slopes)
     raise ValueError(f"unknown label {token!r}")
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _fraction(value) -> Fraction:
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad slope {text!r}: {exc}") from exc
+        return Fraction(value.strip() if isinstance(value, str) else value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad slope {value!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -189,16 +169,16 @@ class AnnulusDiagram:
     labels: tuple[EdgeLabel | None, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(self.base.edges):
             raise StructureError("one label slot per edge required")
+        for lab in self.labels:
+            if lab is not None and not isinstance(lab, EdgeLabel):
+                raise StructureError(f"label slot {lab!r} is neither None nor an EdgeLabel")
 
     @classmethod
     def unlabeled(cls, base: CharDiagram) -> "AnnulusDiagram":
         return cls(base, (None,) * len(base.edges))
-
-    @classmethod
-    def build(cls, base: CharDiagram, labels) -> "AnnulusDiagram":
-        return cls(base, tuple(labels))
 
     @property
     def is_fully_labeled(self) -> bool:
@@ -468,13 +448,13 @@ class CatalogEntry:
 
 def _alphabet_for(d: CharDiagram, index: int) -> list[EdgeLabel]:
     if d.is_cut_edge(index):
-        return [EdgeLabel.k1(), EdgeLabel.k2(2), EdgeLabel.em()]
+        return [EdgeLabel("k1"), EdgeLabel("k2", slope=2), EdgeLabel("em")]
     return [
-        EdgeLabel.h1(),
-        EdgeLabel.h2(),
-        EdgeLabel.l(Fraction(2, 3), Fraction(3, 2)),
-        EdgeLabel.l(Fraction(2, 3), 6),
-        EdgeLabel.l0(),
+        EdgeLabel("h1"),
+        EdgeLabel("h2"),
+        EdgeLabel("l", slopes=(Fraction(2, 3), Fraction(3, 2))),
+        EdgeLabel("l", slopes=(Fraction(2, 3), 6)),
+        EdgeLabel("l0"),
     ]
 
 
@@ -493,7 +473,7 @@ def label_catalog() -> tuple[CatalogEntry, ...]:
         alphabets = [_alphabet_for(d, i) for i in range(len(d.edges))]
         kept: dict[str, AnnulusDiagram] = {}
         for assignment in itertools.product(*alphabets):
-            ad = AnnulusDiagram.build(d, assignment)
+            ad = AnnulusDiagram(d, assignment)
             if not ad.violations:
                 kept.setdefault(_labeled_key(ad), ad)
         for ad in kept.values():
@@ -568,7 +548,7 @@ def parse_annulus(text: str) -> AnnulusDiagram:
             labels.append(None if token is None else parse_label(token))
         except ValueError as exc:
             raise StructureError(str(exc), lineno) from exc
-    return AnnulusDiagram.build(CharDiagram.build(nodes, [(a, b) for a, b, _, _ in edges]), labels)
+    return AnnulusDiagram(CharDiagram(nodes, [(a, b) for a, b, _, _ in edges]), labels)
 
 
 def format_annulus(ad: AnnulusDiagram) -> str:

@@ -438,6 +438,12 @@ class LinkingTests(unittest.TestCase):
         code, _, _ = run(["linking", p, "--components", "a,z"])
         self.assertEqual(code, 2)
 
+    def test_linking_needs_two_component_names(self):
+        p = self.build("t4.txt", "torus-link", "--n", "4")
+        for names in ("a", "a,b,a"):
+            code, out, _ = run(["linking", p, "--components", names])
+            self.assertEqual((code, out), (2, f"{p}: --components needs two comma-separated names\n"))
+
 
 class AnalyzeTests(unittest.TestCase):
     def setUp(self):
@@ -511,6 +517,23 @@ class AnalyzeTests(unittest.TestCase):
             self.assertEqual(data["errors"], [f"{p}: assertion {key} needs a value"])
             code, out, _ = run(["analyze", p, "--assert", f"{key}="])
             self.assertEqual((code, out.splitlines()[-1]), (2, data["errors"][0]))
+
+    def test_malformed_assertions_exit_2(self):
+        p = self.build("theta.txt", "torus-link", "--n", "3", "--tunnel")
+        for token, message in (("x", "assertion 'x' needs key=value"),
+                               ("planar=maybe", "assertion planar needs true or false")):
+            code, data, _ = self.analyze_json(p, token)
+            self.assertEqual((code, data["errors"]), (2, [f"{p}: {message}"]))
+
+    def test_planar_theta_prints_the_tau1_looping_note(self):
+        p = str(Path(self.tmp.name) / "planar.txt")
+        Path(p).write_text(
+            "graph theta\nvertex u ends a.0 b.0 c.0\nvertex v ends a.1 b.1 c.1\n"
+            "edge a from u to v\nedge b from u to v\nedge c from u to v\n")
+        code, out, _ = run(["analyze", p, "--assert", "atoroidal=true", "--assert", "planar=true"])
+        self.assertEqual(code, 0)
+        self.assertIn("class: tau1 (planar theta-curve)\nlooping lands in: h3\n"
+                      "  note: the looped graph carries the handlebody-knot 2_1\n", out)
 
     def test_trivial_link_is_not_an_assertion_key(self):
         p = self.build("theta.txt", "torus-link", "--n", "3", "--tunnel")

@@ -45,7 +45,7 @@ EXPECTED_TYPES = [
 
 def diagram(kind, extra_solid, edges):
     nodes = [Node("v", kind, 2)] + [Node(f"s{i}", SOLID) for i in range(1, extra_solid + 1)]
-    return CharDiagram.build(nodes, edges)
+    return CharDiagram(nodes, edges)
 
 
 def test_enumeration_gives_thirteen_classes():
@@ -114,27 +114,27 @@ def test_single_violations(kind, extra, edges, code):
 
 
 def test_wrong_genus_is_a_violation_not_an_error():
-    d = CharDiagram.build([Node("v", HOLLOW, 3)], [("v", "v")])
+    d = CharDiagram([Node("v", HOLLOW, 3)], [("v", "v")])
     codes = [v.code for v in validate(d)]
     assert codes == ["C-i"]
 
 
 def test_two_labeled_nodes_violate():
-    d = CharDiagram.build(
+    d = CharDiagram(
         [Node("v", HOLLOW, 2), Node("w", HOLLOW, 2)], [("v", "w")]
     )
     assert any(v.code == "C-i" for v in validate(d))
 
 
 def test_unlabeled_hollow_node_violates():
-    d = CharDiagram.build(
+    d = CharDiagram(
         [Node("v", HOLLOW, 2), Node("w", HOLLOW)], [("v", "w")]
     )
     assert any(v.code == "C-ii" for v in validate(d))
 
 
 def test_disconnected_diagram_violates():
-    d = CharDiagram.build(
+    d = CharDiagram(
         [Node("v", HOLLOW, 2), Node("s1", SOLID)], [("v", "v")]
     )
     assert any(v.code == "conn" for v in validate(d))
@@ -147,19 +147,19 @@ def test_hollow_bigon_is_fine():
 
 def test_dangling_endpoint_is_structural():
     with pytest.raises(StructureError):
-        CharDiagram.build([Node("v", HOLLOW, 2)], [("v", "w")])
+        CharDiagram([Node("v", HOLLOW, 2)], [("v", "w")])
 
 
 def test_duplicate_node_id_is_structural():
     with pytest.raises(StructureError):
-        CharDiagram.build([Node("v", HOLLOW, 2), Node("v", SOLID)], [])
+        CharDiagram([Node("v", HOLLOW, 2), Node("v", SOLID)], [])
 
 
 @pytest.mark.parametrize("node_id", ["v#1", "a b", ""])
 def test_node_id_must_be_one_token(node_id):
     """An id that the file format could not read back is refused."""
     with pytest.raises(StructureError, match=f"^node id {node_id!r} is not one token"):
-        CharDiagram.build([Node(node_id, HOLLOW, 2)], [(node_id, node_id)])
+        CharDiagram([Node(node_id, HOLLOW, 2)], [(node_id, node_id)])
 
 
 def test_solid_base_annotation_by_degree():
@@ -184,7 +184,7 @@ def _relabeled(d, rng):
     nodes = [Node(rename[n.id], n.kind, n.genus) for n in perm]
     edges = [(rename[a], rename[b]) for a, b in d.edges]
     rng.shuffle(edges)
-    return CharDiagram.build(nodes, edges)
+    return CharDiagram(nodes, edges)
 
 
 @st.composite
@@ -196,7 +196,7 @@ def small_diagrams(draw):
     n_edges = draw(st.integers(min_value=0, max_value=3))
     edges = [draw(st.sampled_from(pairs)) for _ in range(n_edges)]
     nodes = [Node("v", kind, 2)] + [Node(i, SOLID) for i in ids[1:]]
-    return CharDiagram.build(nodes, edges)
+    return CharDiagram(nodes, edges)
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,7 +217,7 @@ def test_canonical_form_decides_isomorphism(d1, d2):
 
 def test_canonical_form_of_the_empty_diagram():
     # permutations of no nodes yield one empty ordering, encoded as "|"
-    empty = CharDiagram.build([], [])
+    empty = CharDiagram([], [])
     assert canonical_form(empty) == canonical_form(empty, labels=[]) == "|"
 
 
@@ -243,7 +243,7 @@ def multigraphs(draw):
     ids = [n.id for n in nodes]
     edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=4)
                  if ids else st.just([]))
-    return CharDiagram.build(nodes, edges)
+    return CharDiagram(nodes, edges)
 
 
 @settings(max_examples=300, deadline=None)

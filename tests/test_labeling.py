@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -41,11 +42,11 @@ SOLID = NodeKind.SOLID
 
 def diagram(kind, extra_solid, edges):
     nodes = [Node("v", kind, 2)] + [Node(f"s{i}", SOLID) for i in range(1, extra_solid + 1)]
-    return CharDiagram.build(nodes, edges)
+    return CharDiagram(nodes, edges)
 
 
 def labeled(kind, extra_solid, edges, labels):
-    return AnnulusDiagram.build(diagram(kind, extra_solid, edges), labels)
+    return AnnulusDiagram(diagram(kind, extra_solid, edges), labels)
 
 
 LOOP = [("v", "v")]
@@ -62,7 +63,7 @@ def test_parse_label_round_trip(token):
 
 
 def test_trivial_pair_normalizes_to_l0():
-    assert parse_label("l(0,0)") == EdgeLabel.l0()
+    assert parse_label("l(0,0)") == EdgeLabel("l0")
 
 
 @pytest.mark.parametrize("token", ["h3", "k2(0)", "k2(1/2)", "k2(-1/3)", "l(0,5)", "l(1/3,1/2)", "l(2/3)", "k2(1/0)"])
@@ -73,8 +74,8 @@ def test_parse_label_rejects(token):
 
 def test_k2_slope_guard():
     with pytest.raises(ValueError):
-        EdgeLabel.k2(Fraction(1, 4))
-    assert EdgeLabel.k2(Fraction(5, 2)).slope == Fraction(5, 2)
+        EdgeLabel("k2", slope=Fraction(1, 4))
+    assert EdgeLabel("k2", slope=Fraction(5, 2)).slope == Fraction(5, 2)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +96,8 @@ def test_slope_pair_classify(r1, r2, kind):
 
 
 def test_l_label_sorts_slopes():
-    assert EdgeLabel.l(Fraction(3, 2), Fraction(2, 3)) == EdgeLabel.l(Fraction(2, 3), Fraction(3, 2))
+    assert (EdgeLabel("l", slopes=(Fraction(3, 2), Fraction(2, 3)))
+            == EdgeLabel("l", slopes=(Fraction(2, 3), Fraction(3, 2))))
 
 
 # --- the rules -------------------------------------------------------------------
@@ -107,12 +109,12 @@ def test_unlabeled_diagram_passes():
 
 
 def test_partial_labeling_is_rejected():
-    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.h2(), None])
+    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("h2"), None])
     assert [v.code for v in validate_labels(ad)] == ["labels"]
 
 
 def test_invalid_base_short_circuits():
-    ad = labeled(SOLID, 0, LOOP, [EdgeLabel.h1()])
+    ad = labeled(SOLID, 0, LOOP, [EdgeLabel("h1")])
     codes = [v.code for v in validate_labels(ad)]
     assert "C-iii" in codes
     assert all(not c.startswith("R") for c in codes)
@@ -122,22 +124,22 @@ def test_invalid_base_short_circuits():
     "kind, extra, edges, labels, rule",
     [
         # k1 sits on a loop, which no cut-edge label may do
-        (HOLLOW, 0, LOOP, [EdgeLabel.k1()], "R1"),
+        (HOLLOW, 0, LOOP, [EdgeLabel("k1")], "R1"),
         # h2 on the bridge, a cut edge
-        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.l0(), EdgeLabel.h2()], "R1"),
+        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("l0"), EdgeLabel("h2")], "R1"),
         # h1 must be alone on the single-loop diagram
-        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.h1(), EdgeLabel.k1()], "R2"),
+        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("h1"), EdgeLabel("k1")], "R2"),
         # a reciprocal slope pair on a two-edge diagram
-        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.l(Fraction(2, 3), Fraction(3, 2)), EdgeLabel.k1()], "R3"),
+        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("l", slopes=(Fraction(2, 3), Fraction(3, 2))), EdgeLabel("k1")], "R3"),
         # theta shape must carry exactly {h2, h2, l0}
-        (HOLLOW, 1, THETA, [EdgeLabel.h2()] * 3, "R4"),
-        (SOLID, 1, THETA, [EdgeLabel.l0()] * 3, "R4"),
+        (HOLLOW, 1, THETA, [EdgeLabel("h2")] * 3, "R4"),
+        (SOLID, 1, THETA, [EdgeLabel("l0")] * 3, "R4"),
         # em excludes h and l labels
-        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.l0(), EdgeLabel.em()], "R5"),
+        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("l0"), EdgeLabel("em")], "R5"),
         # companion of an h2 loop must carry k1 or k2
-        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.h2(), EdgeLabel.em()], "R6"),
+        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("h2"), EdgeLabel("em")], "R6"),
         # h2 on a non-loop edge outside the theta shape
-        (HOLLOW, 1, [("v", "s1"), ("v", "s1")], [EdgeLabel.h2(), EdgeLabel.l0()], "R8"),
+        (HOLLOW, 1, [("v", "s1"), ("v", "s1")], [EdgeLabel("h2"), EdgeLabel("l0")], "R8"),
     ],
 )
 def test_rule_violations(kind, extra, edges, labels, rule):
@@ -147,21 +149,21 @@ def test_rule_violations(kind, extra, edges, labels, rule):
 
 def test_r7_two_h2_with_k():
     base = [("v", "s1"), ("v", "s1"), ("v", "s2")]
-    ad = labeled(HOLLOW, 2, base, [EdgeLabel.h2(), EdgeLabel.h2(), EdgeLabel.k1()])
+    ad = labeled(HOLLOW, 2, base, [EdgeLabel("h2"), EdgeLabel("h2"), EdgeLabel("k1")])
     assert "R7" in [v.code for v in validate_labels(ad)]
 
 
 @pytest.mark.parametrize(
     "kind, extra, edges, labels",
     [
-        (HOLLOW, 0, LOOP, [EdgeLabel.h1()]),
-        (HOLLOW, 0, LOOP, [EdgeLabel.h2()]),
-        (HOLLOW, 0, LOOP, [EdgeLabel.l(Fraction(2, 3), Fraction(3, 2))]),
-        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.h2(), EdgeLabel.k2(Fraction(5, 2))]),
-        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.l0(), EdgeLabel.k1()]),
-        (HOLLOW, 1, THETA, [EdgeLabel.h2(), EdgeLabel.h2(), EdgeLabel.l0()]),
-        (SOLID, 1, THETA, [EdgeLabel.h2(), EdgeLabel.h2(), EdgeLabel.l0()]),
-        (SOLID, 1, [("v", "s1")], [EdgeLabel.em()]),
+        (HOLLOW, 0, LOOP, [EdgeLabel("h1")]),
+        (HOLLOW, 0, LOOP, [EdgeLabel("h2")]),
+        (HOLLOW, 0, LOOP, [EdgeLabel("l", slopes=(Fraction(2, 3), Fraction(3, 2)))]),
+        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("h2"), EdgeLabel("k2", slope=Fraction(5, 2))]),
+        (HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("l0"), EdgeLabel("k1")]),
+        (HOLLOW, 1, THETA, [EdgeLabel("h2"), EdgeLabel("h2"), EdgeLabel("l0")]),
+        (SOLID, 1, THETA, [EdgeLabel("h2"), EdgeLabel("h2"), EdgeLabel("l0")]),
+        (SOLID, 1, [("v", "s1")], [EdgeLabel("em")]),
     ],
 )
 def test_valid_labelings(kind, extra, edges, labels):
@@ -173,13 +175,13 @@ def test_valid_labelings(kind, extra, edges, labels):
 
 
 def test_bounds_h1():
-    ad = labeled(HOLLOW, 0, LOOP, [EdgeLabel.h1()])
+    ad = labeled(HOLLOW, 0, LOOP, [EdgeLabel("h1")])
     b = symmetry_bounds(ad)
     assert b == SymmetryBounds(GroupBound.AT_MOST_Z2, GroupBound.AT_MOST_Z2XZ2, exact=False)
 
 
 def test_bounds_h2_loop():
-    ad = labeled(HOLLOW, 0, LOOP, [EdgeLabel.h2()])
+    ad = labeled(HOLLOW, 0, LOOP, [EdgeLabel("h2")])
     b = symmetry_bounds(ad)
     assert b.sym_plus is GroupBound.TRIVIAL
     assert b.sym is GroupBound.AT_MOST_Z2
@@ -187,32 +189,32 @@ def test_bounds_h2_loop():
 
 
 def test_bounds_h2_with_companion():
-    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.h2(), EdgeLabel.k2(Fraction(5, 2))])
+    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("h2"), EdgeLabel("k2", slope=Fraction(5, 2))])
     b = symmetry_bounds(ad)
     assert b == SymmetryBounds(GroupBound.TRIVIAL, GroupBound.TRIVIAL, exact=True)
 
 
 def test_bounds_theta_solid_is_exact():
-    ad = labeled(SOLID, 1, THETA, [EdgeLabel.h2(), EdgeLabel.h2(), EdgeLabel.l0()])
+    ad = labeled(SOLID, 1, THETA, [EdgeLabel("h2"), EdgeLabel("h2"), EdgeLabel("l0")])
     b = symmetry_bounds(ad)
     assert b == SymmetryBounds(GroupBound.EXACTLY_Z2, GroupBound.EXACTLY_Z2XZ2, exact=True)
     assert is_fourone(ad)
 
 
 def test_bounds_theta_hollow_not_exact():
-    ad = labeled(HOLLOW, 1, THETA, [EdgeLabel.h2(), EdgeLabel.h2(), EdgeLabel.l0()])
+    ad = labeled(HOLLOW, 1, THETA, [EdgeLabel("h2"), EdgeLabel("h2"), EdgeLabel("l0")])
     b = symmetry_bounds(ad)
     assert b == SymmetryBounds(GroupBound.AT_MOST_Z2, GroupBound.AT_MOST_Z2XZ2, exact=False)
     assert not is_fourone(ad)
 
 
 def test_no_h_label_no_bound():
-    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.l0(), EdgeLabel.k1()])
+    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("l0"), EdgeLabel("k1")])
     assert symmetry_bounds(ad) is None
 
 
 def test_bounds_rejects_invalid():
-    ad = labeled(HOLLOW, 0, LOOP, [EdgeLabel.k1()])
+    ad = labeled(HOLLOW, 0, LOOP, [EdgeLabel("k1")])
     with pytest.raises(ValueError):
         symmetry_bounds(ad)
 
@@ -240,7 +242,7 @@ def fact_codes(ad):
 
 
 def test_fourone_fact():
-    ad = labeled(SOLID, 1, THETA, [EdgeLabel.h2(), EdgeLabel.h2(), EdgeLabel.l0()])
+    ad = labeled(SOLID, 1, THETA, [EdgeLabel("h2"), EdgeLabel("h2"), EdgeLabel("l0")])
     facts = derived_facts(ad)
     assert any("4_1" in f.text for f in facts)
     assert any(f.code == "annuli-count" and "exactly three" in f.text for f in facts)
@@ -254,14 +256,14 @@ def test_annuli_counts():
 
 
 def test_uniqueness_facts():
-    h1 = labeled(HOLLOW, 0, LOOP, [EdgeLabel.h1()])
+    h1 = labeled(HOLLOW, 0, LOOP, [EdgeLabel("h1")])
     assert "uniqueness" in fact_codes(h1)
-    reciprocal = labeled(HOLLOW, 0, LOOP, [EdgeLabel.l(Fraction(2, 3), Fraction(3, 2))])
+    reciprocal = labeled(HOLLOW, 0, LOOP, [EdgeLabel("l", slopes=(Fraction(2, 3), Fraction(3, 2)))])
     assert "uniqueness" in fact_codes(reciprocal)
 
 
 def test_unconstrained_fact():
-    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel.l0(), EdgeLabel.k1()])
+    ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("l0"), EdgeLabel("k1")])
     assert "unconstrained" in fact_codes(ad)
 
 
@@ -274,7 +276,7 @@ def test_realization_fact():
 
 def test_derived_facts_rejects_invalid():
     with pytest.raises(ValueError):
-        derived_facts(labeled(HOLLOW, 0, LOOP, [EdgeLabel.k1()]))
+        derived_facts(labeled(HOLLOW, 0, LOOP, [EdgeLabel("k1")]))
 
 
 # --- the catalog -------------------------------------------------------------------
@@ -353,9 +355,9 @@ def _relabeled(ad, rng):
     rename = {n.id: f"n{i}" for i, n in enumerate(nodes)}
     edges = [((rename[a], rename[b]), lab) for (a, b), lab in zip(ad.base.edges, ad.labels)]
     rng.shuffle(edges)
-    base = CharDiagram.build([Node(rename[n.id], n.kind, n.genus) for n in nodes],
-                             [e for e, _ in edges])
-    return AnnulusDiagram.build(base, [lab for _, lab in edges])
+    base = CharDiagram([Node(rename[n.id], n.kind, n.genus) for n in nodes],
+                       [e for e, _ in edges])
+    return AnnulusDiagram(base, [lab for _, lab in edges])
 
 
 def _key(ad):
@@ -371,7 +373,7 @@ def test_labeled_canonical_form_decides_isomorphism(ad, other, seed, index, toke
     labels = list(renamed.labels)
     if labels:
         labels[index % len(labels)] = parse_label(token)
-    mutated = AnnulusDiagram.build(renamed.base, labels)
+    mutated = AnnulusDiagram(renamed.base, labels)
     for candidate in (renamed, mutated, other):
         expected = brute_force_isomorphic(ad.base, candidate.base, ad.labels, candidate.labels)
         assert (_key(ad) == _key(candidate)) == expected
@@ -386,7 +388,7 @@ def test_text_round_trip(catalog):
         assert parse_annulus(format_annulus(e.diagram)) == e.diagram
 
 
-# any id that CharDiagram accepts: one token without '#'
+# any id that Node accepts: one token without '#'
 NODE_IDS = st.text(min_size=1, max_size=6).filter(lambda s: s.split() == [s] and "#" not in s)
 
 
@@ -396,9 +398,9 @@ def test_text_round_trip_with_any_node_ids(catalog, ids):
     for e in catalog:
         nodes = e.diagram.base.nodes
         rename = {n.id: new for n, new in zip(nodes, ids)}
-        base = CharDiagram.build([Node(rename[n.id], n.kind, n.genus) for n in nodes],
-                                 [(rename[a], rename[b]) for a, b in e.diagram.base.edges])
-        ad = AnnulusDiagram.build(base, e.diagram.labels)
+        base = CharDiagram([Node(rename[n.id], n.kind, n.genus) for n in nodes],
+                           [(rename[a], rename[b]) for a, b in e.diagram.base.edges])
+        ad = AnnulusDiagram(base, e.diagram.labels)
         assert parse_annulus(format_annulus(ad)) == ad
 
 
@@ -476,3 +478,118 @@ def test_parse_skips_comments_and_blanks():
     text = "# a diagram\n\nnode v hollow genus=2\nedge v v # loop\n"
     ad = parse_annulus(text)
     assert classify_type(ad.base).as_tuple() == (1, 1, 0, "hollow")
+
+
+# --- every value that builds is one its file reads back -----------------------------
+
+SLOPES = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@st.composite
+def label_fields(draw):
+    """(kind, slope, slopes), the slope pair often reciprocal or product."""
+    kind = draw(st.sampled_from(("h1", "h2", "k1", "k2", "l", "l0", "em", "k3", "")))
+    slope = draw(st.none() | SLOPES | st.integers(-6, 6))
+    r = draw(SLOPES)
+    pair = st.sampled_from([
+        (r, 1 / r if r else r), (r, r.numerator * r.denominator), (r, draw(SLOPES)), (0, 0)])
+    slopes = draw(st.none() | pair | st.tuples(SLOPES, SLOPES, SLOPES))
+    return kind, slope, slopes
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_fields())
+def test_every_label_that_builds_reads_back_equal(fields):
+    kind, slope, slopes = fields
+    try:
+        lab = EdgeLabel(kind, slope=slope, slopes=slopes)
+    except ValueError:
+        return
+    assert parse_label(str(lab)) == lab
+
+
+@st.composite
+def annulus_diagrams(draw):
+    """Any AnnulusDiagram that builds from labels that build and one-token ids,
+    with node kinds and genera that need not be NodeKinds and ints."""
+    ids = draw(st.lists(NODE_IDS, min_size=1, max_size=3, unique=True))
+    nodes = []
+    for i in ids:
+        kind = draw(st.sampled_from([HOLLOW, SOLID, "hollow"]))
+        genus = draw(st.sampled_from([None, 2, 3, "2", True]))
+        try:
+            nodes.append(Node(i, kind, genus))
+        except StructureError:
+            nodes.append(Node(i, SOLID))
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    labels = []
+    for _ in edges:
+        kind, slope, slopes = draw(label_fields())
+        try:
+            labels.append(EdgeLabel(kind, slope=slope, slopes=slopes))
+        except ValueError:
+            labels.append(draw(st.sampled_from([None, "h1"])))
+    try:
+        return AnnulusDiagram(CharDiagram(nodes, edges), labels)
+    except StructureError:
+        return AnnulusDiagram.unlabeled(CharDiagram(nodes, edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(annulus_diagrams())
+def test_every_annulus_diagram_that_builds_reads_back_equal(ad):
+    assert parse_annulus(format_annulus(ad)) == ad
+
+
+TAKES = "k2 takes a slope and l a slope pair; no other label takes either"
+
+
+@pytest.mark.parametrize(
+    "kind, slope, slopes, message",
+    [
+        ("k2", None, None, TAKES),
+        ("h2", Fraction(5, 2), None, TAKES),
+        ("l", None, None, TAKES),
+        ("l", None, (1, 5), "slope pair (1, 5) fits no annulus of this kind"),
+        ("l", None, (0, 0), "the trivial slope pair is written l0, not l(0,0)"),
+        ("l0", None, (0, 0), TAKES),
+        ("k2", Fraction(1, 3), None,
+         "k2 slope must be nonzero and never a reciprocal of an integer, got 1/3"),
+        ("k2", "x", None, "bad slope 'x': "),
+        ("k3", None, None, "unknown label 'k3'"),
+    ],
+)
+def test_a_label_its_file_cannot_carry_is_refused(kind, slope, slopes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        EdgeLabel(kind, slope=slope, slopes=slopes)
+
+
+def test_label_slopes_are_stored_as_fractions():
+    lab = EdgeLabel("k2", slope=5)
+    assert type(lab.slope) is Fraction and lab == parse_label("k2(5)")
+    assert EdgeLabel("l", slopes=(6, Fraction(2, 3))).slopes == (Fraction(2, 3), Fraction(6))
+
+
+@pytest.mark.parametrize(
+    "kind, genus, message",
+    [
+        ("hollow", 2, "node 'v': kind 'hollow' is not a NodeKind"),
+        (HOLLOW, "2", "node 'v': genus '2' is not an int"),
+        (HOLLOW, True, "node 'v': genus True is not an int"),
+    ],
+)
+def test_a_node_its_file_cannot_carry_is_refused(kind, genus, message):
+    with pytest.raises(StructureError) as err:
+        Node("v", kind, genus)
+    assert str(err.value) == message
+
+
+def test_a_label_slot_holds_none_or_a_label():
+    with pytest.raises(StructureError, match="^label slot 'h1' is neither None nor an EdgeLabel$"):
+        AnnulusDiagram(diagram(HOLLOW, 0, LOOP), ["h1"])
+
+
+def test_diagrams_store_their_fields_as_tuples():
+    ad = AnnulusDiagram(CharDiagram(iter([Node("v", HOLLOW, 2)]), iter([("v", "v")])),
+                        iter([EdgeLabel("h1")]))
+    assert ad == parse_annulus("node v hollow genus=2\nedge v v label=h1\n")

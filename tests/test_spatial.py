@@ -674,6 +674,17 @@ def theta_facts(**kw):
     return facts
 
 
+def test_a_repeated_fact_keeps_its_first_provenance():
+    facts = FactSet()
+    facts.set("split", False, "computed")
+    facts.set("split", False)
+    assert facts.entry("split").provenance == "computed"
+    facts.set("planar", True)
+    facts.set("planar", True, "computed")
+    assert facts.entry("planar").provenance == "asserted"
+    assert [e.key for e in facts.entries()] == ["planar", "split"]
+
+
 def test_classify_needs_atoroidal():
     g = family_torus_link(3, tunnel=True)
     got = classify_atoroidal(g, FactSet())
@@ -983,6 +994,21 @@ def test_prediction_generic_nonsplit_tunnel():
     assert any("five of the second type" in note for note in p.notes)
 
 
+def test_prediction_of_a_handcuff_looping_without_family():
+    g = replace(family_torus_link(2, tunnel=True), provenance=None)
+    looped = loop_at(g, "u", (("a", 0), ("t", 0)))
+    assert looped.provenance == Provenance(
+        "looping", source_kind="handcuff", looping_kind="plain", loopings=1)
+    pinned = predicted_annulus(looped, theta_facts(atoroidal=True, planar=False))
+    assert (pinned.annulus_type, pinned.exterior_irreducible_atoroidal, pinned.diagram) == (
+        "2-2", True, None)
+    assert pinned.notes == ("the diagram is one of the five of the second type",)
+    bare = predicted_annulus(looped, FactSet())
+    assert (bare.annulus_type, bare.exterior_irreducible_atoroidal, bare.diagram) == (
+        "2-2", None, None)
+    assert bare.notes == ("assert atoroidal and nonplanar on the source to pin the exterior",)
+
+
 # --- the text format -------------------------------------------------------------------------
 
 
@@ -1223,6 +1249,77 @@ def test_validate_catches_shared_constituent_names():
     with pytest.raises(StructureError) as err:
         parse_code(format_code(g))
     assert err.value.line == 6
+
+
+def test_validate_catches_each_branch_of_a_link_code():
+    """A link code with a vertex, an open edge, an undeclared and an unvisited
+    crossing: each defect is named with the elements it is about."""
+    g = SpatialGraphCode(
+        "link",
+        (VertexCode("u", (("k", 0), ("a", 0), ("a", 1))),),
+        (EdgeCode("k", None, None, (Pass("x1", "over"), Pass("x1", "under"), Pass("x9", "over"))),
+         EdgeCode("a", "u", "u")),
+        (Crossing("x1", 1), Crossing("x2", -1)),
+    )
+    assert validate_code(g) == [
+        Violation("ends", "circle k is attached to a vertex"),
+        Violation("passes", "pass references undeclared crossing x9"),
+        Violation("passes", "crossing x2 is never visited"),
+        Violation("shape", "a link code has no vertices"),
+        Violation("shape", "edge a of a link must be a circle"),
+    ]
+    assert [v.where for v in g.violations] == [
+        (("edge", "k"), ("vertex", "u")), (("crossing", "x9"),), (("crossing", "x2"),), (), ()]
+
+
+# ids of at most three characters; '.', ' ', '#', a newline and '' make bad ones
+ID_TEXT = st.text(alphabet="ab1+_.# \n", max_size=3)
+
+
+def _renamed_ids(g, edges, vertices, crossings):
+    """g with edge, vertex and crossing ids renamed by the three maps."""
+    e, v, c = (lambda i, m=m: m.get(i, i) for m in (edges, vertices, crossings))
+    return SpatialGraphCode(
+        g.kind,
+        tuple(VertexCode(v(x.id), tuple((e(i), side) for i, side in x.ends)) for x in g.vertices),
+        tuple(EdgeCode(e(x.id), x.tail and v(x.tail), x.head and v(x.head),
+                       tuple(Pass(c(p.crossing), p.position) for p in x.passes))
+              for x in g.edges),
+        tuple(Crossing(c(x.id), x.sign) for x in g.crossings),
+        g.provenance,
+    )
+
+
+@pytest.mark.parametrize("bad", ["t.1", "t 1", "t#", "", "t\n"])
+def test_a_bad_edge_id_is_a_violation(bad):
+    g = _renamed_ids(family_torus_link(3, tunnel=True), {"t": bad}, {}, {})
+    assert validate_code(g) == [Violation("ids", f"bad edge identifier {bad!r}")]
+    assert g.violations[0].where == (("edge", bad),)
+
+
+def test_a_bad_vertex_or_crossing_id_is_a_violation():
+    theta = _renamed_ids(family_torus_link(3, tunnel=True), {}, {"u": "u.0"}, {})
+    assert validate_code(theta) == [Violation("ids", "bad vertex identifier 'u.0'")]
+    link = _renamed_ids(family_torus_link(4), {}, {}, {"x1": "x 1"})
+    assert validate_code(link) == [Violation("ids", "bad crossing identifier 'x 1'")]
+    assert link.violations[0].where == (("crossing", "x 1"),)
+
+
+@st.composite
+def renamed_codes(draw):
+    """A family code or a looping of one, some of its ids redrawn from an
+    alphabet that holds '.', ' ', '#' and a newline."""
+    g = draw(st.one_of(family_codes(), loop_chains()))
+    maps = [{x.id: draw(ID_TEXT) for x in xs if draw(st.booleans())}
+            for xs in (g.edges, g.vertices, g.crossings)]
+    return _renamed_ids(g, *maps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_codes())
+def test_every_hand_built_code_without_violations_reads_back_equal(g):
+    if not validate_code(g):
+        assert parse_code(format_code(g)) == g
 
 
 # --- derived codes and the text path ---------------------------------------------------
