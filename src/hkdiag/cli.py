@@ -18,14 +18,15 @@ family) and prints "error: message" (exit 2) or "rejected: message"
 main(argv) may be called repeatedly in one process: it builds its argument
 parser on the first call and reuses it for every later one.
 
-Importing this module loads no layer, only the shared errors; json is
-imported only where JSON is written. Each command imports the layers it
-calls when it runs, so a one-shot command pays start-up only for those:
-enumerate imports diagram; enumerate --labels, validate, classify and
-symmetry import labeling (which loads diagram); loop, family and linking
-import spatial (which loads diagram); analyze imports spatial and wirtinger
-(which loads homology), and spatial loads labeling only for the ring
-annulus prediction of a looped code.
+Importing this module loads no layer, only the shared errors. A JSON
+reply is written by _json_text, byte for byte what json.dumps(reply,
+indent=2) gives; json is imported only where JSON is written. Each command
+imports the layers it calls when it runs, so a one-shot command pays
+start-up only for those: enumerate imports diagram; enumerate --labels,
+validate, classify and symmetry import labeling (which loads diagram);
+loop, family and linking import spatial (which loads diagram); analyze
+imports spatial and wirtinger (which loads homology), and spatial loads
+labeling only for the ring annulus prediction of a looped code.
 """
 
 from __future__ import annotations
@@ -73,12 +74,73 @@ def _read(path: str) -> str:
         raise StructureError(f"cannot read {path}: not UTF-8 text") from None
 
 
+def _json_text(obj) -> str:
+    """obj written exactly as json.dumps(obj, indent=2) writes it.
+
+    On Python 3.11 any indent sends json.dumps to its generator-based
+    pure-Python encoder; this one recursive walk appends a piece per member
+    and lets the C routine quote the strings. It takes dicts with str keys,
+    lists, tuples, str, int, bool and None, picked by exact type so that True
+    is never written as 1; anything else raises TypeError naming the type.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    scalars = {str: quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+               type(None): {None: "null"}.__getitem__}
+    scalar = scalars.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    pieces: list[str] = []
+    _json_container(obj, "", "\n", pieces, scalars)
+    return "".join(pieces)
+
+
+def _json_container(o, head: str, indent: str, pieces: list[str], scalars: dict) -> None:
+    """Append head and the container o, which starts on head's line, to pieces.
+
+    A module function, not a closure over pieces: a closure that calls itself
+    is a reference cycle, which would keep the pieces alive until the next
+    garbage collection."""
+    t = type(o)
+    if t is dict:
+        if not o:
+            pieces.append(head + "{}")
+            return
+        quote = scalars[str]
+        inner = indent + "  "
+        head += "{" + inner
+        for k, v in o.items():
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            scalar = scalars.get(type(v))
+            if scalar is None:
+                _json_container(v, head + quote(k) + ": ", inner, pieces, scalars)
+            else:
+                pieces.append(head + quote(k) + ": " + scalar(v))
+            head = "," + inner
+        pieces.append(indent + "}")
+    elif t is list or t is tuple:
+        if not o:
+            pieces.append(head + "[]")
+            return
+        inner = indent + "  "
+        head += "[" + inner
+        for v in o:
+            scalar = scalars.get(type(v))
+            if scalar is None:
+                _json_container(v, head, inner, pieces, scalars)
+            else:
+                pieces.append(head + scalar(v))
+            head = "," + inner
+        pieces.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(reports: list[_FileReport], fmt: str) -> int:
     if fmt == "json":
-        import json
-
         payload = [r.data for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        print(_json_text(payload[0] if len(payload) == 1 else payload))
     else:
         chunks = []
         for r in reports:
@@ -115,20 +177,20 @@ def _cmd_enumerate(args) -> int:
 
         entries = labeling.label_catalog()
         report.data["count"] = len(entries)
-        report.data["entries"] = [
-            {
-                "type": str(entry.dtype),
+        rows = []
+        report.say(f"{len(entries)} labeled diagrams")
+        for entry in entries:
+            dtype = str(entry.dtype)
+            rows.append({
+                "type": dtype,
                 "labels": list(entry.kinds),
                 "realization": entry.realization,
                 "constrained": entry.constrained,
                 "diagram": labeling.annulus_to_json_dict(entry.diagram),
-            }
-            for entry in entries
-        ]
-        report.say(f"{len(entries)} labeled diagrams")
-        for entry in entries:
+            })
             marker = " *" if entry.constrained else ""
-            report.say(f"  {entry.dtype} {{{', '.join(entry.kinds)}}}{marker}")
+            report.say(f"  {dtype} {{{', '.join(entry.kinds)}}}{marker}")
+        report.data["entries"] = rows
         report.say("entries marked * carry a symmetry bound")
     else:
         from . import diagram

@@ -103,13 +103,18 @@ class CharDiagram:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
+        for n in self.nodes:
+            if not isinstance(n, Node):
+                raise StructureError(f"node {n!r} is not a Node")
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise StructureError("duplicate node id")
         known = set(ids)
-        for a, b in self.edges:
-            for end in (a, b):
-                if end not in known:
+        for e in self.edges:
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
+                raise StructureError(f"edge {e!r} is not a pair of node ids")
+            for end in e:
+                if not isinstance(end, str) or end not in known:
                     raise StructureError(f"edge endpoint {end!r} is not a node")
         object.__setattr__(self, "edges", tuple(tuple(sorted(e)) for e in self.edges))
 
@@ -339,10 +344,12 @@ def _enumerate_valid(single_bigon_rule: bool) -> tuple[CharDiagram, ...]:
 # labeling.parse_annulus and labeling.format_annulus.
 
 
-def diagram_to_json_dict(d: CharDiagram) -> dict:
+def diagram_to_json_dict(d: CharDiagram, edges: list | None = None) -> dict:
+    """d's nodes, then its edges: `edges` when given (a labeled diagram's),
+    else the endpoint pairs."""
     return {
         "nodes": [
             {"id": n.id, "kind": n.kind.value, "genus": n.genus} for n in d.nodes
         ],
-        "edges": [[a, b] for a, b in d.edges],
+        "edges": [[a, b] for a, b in d.edges] if edges is None else edges,
     }

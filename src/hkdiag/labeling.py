@@ -169,6 +169,8 @@ class AnnulusDiagram:
     labels: tuple[EdgeLabel | None, ...]
 
     def __post_init__(self):
+        if not isinstance(self.base, CharDiagram):
+            raise StructureError(f"base {self.base!r} is not a CharDiagram")
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(self.base.edges):
             raise StructureError("one label slot per edge required")
@@ -576,9 +578,7 @@ def _label_to_json(lab: EdgeLabel | None):
 
 
 def annulus_to_json_dict(ad: AnnulusDiagram) -> dict:
-    data = diagram_to_json_dict(ad.base)
-    data["edges"] = [
+    return diagram_to_json_dict(ad.base, [
         {"ends": list(e), "label": _label_to_json(lab)}
         for e, lab in zip(ad.base.edges, ad.labels)
-    ]
-    return data
+    ])

@@ -241,23 +241,37 @@ class SpatialGraphCode:
 
 def validate_code(g: SpatialGraphCode) -> list[Violation]:
     """Structural checks: id sanity, end incidences, pass pairing, shape. Each
-    violation's `where` names the elements it is about; a shape one names none."""
+    violation's `where` names the elements it is about; a shape one names none.
+    A hand-built id that is no str ends the checks after the ids, since the
+    rest hash, sort and compare ids."""
     out: list[Violation] = []
 
     def flag(code: str, message: str, *where: tuple[str, str]) -> None:
         out.append(Violation(code, message, where))
 
     known: dict[str, set[str]] = {}
+    stray = False  # a hand-built id that is no str
     for kind, elements in (("edge", g.edges), ("vertex", g.vertices), ("crossing", g.crossings)):
         ids = [x.id for x in elements]
-        # one regex over the joined ids costs far less than one per id
-        if ids and not (all(ids) and _ID_RE.fullmatch("".join(ids))):
+        # one regex over the joined ids costs far less than one per id;
+        # join raises on an id that is no str
+        try:
+            ok = not ids or (all(ids) and _ID_RE.fullmatch("".join(ids)))
+        except TypeError:
+            ok = False
+        if not ok:
             for i in ids:
-                if not _ID_RE.fullmatch(i):
-                    flag("ids", f"bad {kind} identifier {i!r}", (kind, i))
+                if isinstance(i, str) and _ID_RE.fullmatch(i):
+                    continue
+                stray = stray or not isinstance(i, str)
+                flag("ids", f"bad {kind} identifier {i!r}", (kind, i))
+        if stray:
+            continue
         known[kind] = set(ids)
         if len(known[kind]) != len(ids):
             flag("ids", f"duplicate {kind} id", *((kind, i) for i in ids if ids.count(i) > 1))
+    if stray:
+        return out
     shared = _shared_constituent_name(g)
     if shared:
         flag("ids", f"two theta constituents are both named {shared}",

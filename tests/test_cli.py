@@ -1229,5 +1229,66 @@ class OneShotTests(unittest.TestCase):
             self.assertTrue(err.startswith("rejected: "), err)
 
 
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24,
+)
+
+
+class JsonTextTests(unittest.TestCase):
+    """cli._json_text writes exactly what json.dumps(obj, indent=2) writes."""
+
+    def assertSameAsStdlib(self, obj):
+        self.assertEqual(cli._json_text(obj), json.dumps(obj, indent=2))
+
+    @given(json_trees)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_stdlib_on_random_trees(self, obj):
+        self.assertSameAsStdlib(obj)
+
+    def test_empty_containers_at_every_depth_and_top_level_scalars(self):
+        for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [[]]}],
+                    {"a": {"b": {"c": []}}, "d": ()}, None, True, False, 0, -7, "", "x"):
+            self.assertSameAsStdlib(obj)
+
+    def test_bools_are_never_ints(self):
+        self.assertEqual(cli._json_text([True, 1, False, 0]), "[\n  true,\n  1,\n  false,\n  0\n]")
+        self.assertSameAsStdlib({"t": True, "one": 1, "f": False, "zero": 0})
+
+    def test_large_ints(self):
+        self.assertSameAsStdlib([-(10 ** 40), 10 ** 40, -1, {"n": -(2 ** 63) - 1}])
+
+    def test_strings_and_keys_are_escaped(self):
+        nasty = ['"', "\\", "\n", "\x00", "],{:", "\u00e9t\u00e9", "\U0001f600", "\ud800", "\t\x7f"]
+        self.assertSameAsStdlib(nasty)
+        self.assertSameAsStdlib({k: [k, {k: k}] for k in nasty})
+        self.assertEqual(cli._json_text("\U0001f600"), '"\\ud83d\\ude00"')
+
+    def test_other_types_raise_type_error(self):
+        for bad in (1.5, {1, 2}, object()):
+            for obj in (bad, [bad], {"k": bad}, {"k": [0, (bad,)]}):
+                with self.assertRaisesRegex(TypeError, type(bad).__name__):
+                    cli._json_text(obj)
+        with self.assertRaisesRegex(TypeError, "int"):
+            cli._json_text({1: "a"})
+
+    def test_an_unwritable_reply_is_an_internal_error(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            good = Path(tmp) / "good.txt"
+            good.write_text(H1_DIAGRAM)
+
+            def worker(report):
+                report.data["type"] = 1.5
+
+            with mock.patch.object(cli, "_validate_worker", worker):
+                code, out, err = run(["validate", str(good), "--format", "json"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn("TypeError: Object of type float is not JSON serializable", err)
+
+
 if __name__ == "__main__":
     unittest.main()

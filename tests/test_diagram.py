@@ -162,6 +162,21 @@ def test_node_id_must_be_one_token(node_id):
         CharDiagram([Node(node_id, HOLLOW, 2)], [(node_id, node_id)])
 
 
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        (["v"], [], "node 'v' is not a Node"),
+        ([Node("v", HOLLOW, 2)], [("v",)], "edge ('v',) is not a pair of node ids"),
+        ([Node("v", HOLLOW, 2)], ["vv"], "edge 'vv' is not a pair of node ids"),
+        ([Node("v", HOLLOW, 2)], [(["v"], "v")], "edge endpoint ['v'] is not a node"),
+    ],
+)
+def test_a_diagram_of_other_values_is_refused(nodes, edges, message):
+    with pytest.raises(StructureError) as err:
+        CharDiagram(nodes, edges)
+    assert str(err.value) == message
+
+
 def test_solid_base_annotation_by_degree():
     pants = diagram(SOLID, 3, [("v", "s1"), ("v", "s2"), ("v", "s3")])
     assert solid_base_annotation(pants) == "I-bundle over a pair of pants"

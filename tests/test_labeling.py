@@ -589,6 +589,11 @@ def test_a_label_slot_holds_none_or_a_label():
         AnnulusDiagram(diagram(HOLLOW, 0, LOOP), ["h1"])
 
 
+def test_an_annulus_diagram_is_built_on_a_char_diagram():
+    with pytest.raises(StructureError, match="^base 'v' is not a CharDiagram$"):
+        AnnulusDiagram("v", [])
+
+
 def test_diagrams_store_their_fields_as_tuples():
     ad = AnnulusDiagram(CharDiagram(iter([Node("v", HOLLOW, 2)]), iter([("v", "v")])),
                         iter([EdgeLabel("h1")]))

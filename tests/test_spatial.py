@@ -1305,6 +1305,18 @@ def test_a_bad_vertex_or_crossing_id_is_a_violation():
     assert link.violations[0].where == (("crossing", "x 1"),)
 
 
+def test_an_id_that_is_no_string_is_a_violation():
+    """Hand-built ids of the wrong type are flagged, not a TypeError."""
+    link = _renamed_ids(family_torus_link(4), {}, {}, {f"x{k}": k - 1 for k in range(1, 5)})
+    assert validate_code(link) == [Violation("ids", f"bad crossing identifier {k}") for k in range(4)]
+    assert link.violations[0].where == (("crossing", 0),)
+    theta = _renamed_ids(family_torus_link(3, tunnel=True), {"t": 7}, {"u": 5}, {})
+    assert validate_code(theta) == [Violation("ids", "bad edge identifier 7"),
+                                    Violation("ids", "bad vertex identifier 5")]
+    with pytest.raises(StructureError, match="bad edge identifier 7"):
+        constituent_links(theta)
+
+
 @st.composite
 def renamed_codes(draw):
     """A family code or a looping of one, some of its ids redrawn from an
