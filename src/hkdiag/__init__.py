@@ -55,8 +55,7 @@ _EXPORTS = {
         "type_three_two_linking_test", "validate_code",
     ),
     "wirtinger": (
-        "EdgeWalk", "Meridian", "MeridianMap", "UnderPassWord", "alexander_polynomial",
-        "attach_evidence", "constituent_invariants", "h1_complement", "loop_class",
+        "alexander_polynomial", "attach_evidence", "constituent_invariants", "h1_complement",
     ),
 }
 

@@ -413,14 +413,14 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
             report.say(f"  knot {name}: alexander {delta}")
     report.data["constituents"] = constituents
 
-    group, mm = wirtinger.h1_complement(g)
+    group, meridians = wirtinger.h1_complement(g)
     report.data["homology"] = {
         "group": str(group),
-        "meridians": {e.id: list(mm.edge_class(e.id).coords) for e in g.edges},
+        "meridians": {eid: list(coords) for eid, coords in meridians.items()},
     }
     report.say(f"homology of the complement: {group}")
-    for e in g.edges:
-        report.say(f"  meridian {e.id} -> {mm.edge_class(e.id).coords}")
+    for eid, coords in meridians.items():
+        report.say(f"  meridian {eid} -> {coords}")
 
     if facts.entries():
         report.say("facts:")

@@ -307,7 +307,9 @@ def validate_code(g: SpatialGraphCode) -> list[Violation]:
     closed = {e.id for e in g.edges if e.is_circle or e.is_vertex_loop}
     between: dict[tuple[str, str], list[str]] = {}
     uses = g.crossing_passes()
-    for cid, entries in sorted(uses.items()):
+    # keyed by str, so that a hand-built reference that is no str sorts too
+    for cid in sorted(uses, key=str):
+        entries = uses[cid]
         if cid not in known["crossing"]:
             flag("passes", f"pass references undeclared crossing {cid}", ("crossing", cid))
             continue

@@ -23,11 +23,10 @@ a graph code are knotted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import _EXPORTS
 from .errors import StructureError
-from .homology import AbelianGroup, IntMatrix, LaurentPoly, LoopClass, smith_normal_form
+from .homology import AbelianGroup, IntMatrix, LaurentPoly, smith_normal_form
 from .homology import bareiss_det
 from .spatial import (
     FactSet,
@@ -41,60 +40,10 @@ from .spatial import (
 __all__ = list(_EXPORTS["wirtinger"])
 
 
-@dataclass(frozen=True)
-class Meridian:
-    """The meridian loop of one edge of the code."""
-
-    edge: str
-
-
-@dataclass(frozen=True)
-class UnderPassWord:
-    """A loop described by the crossings it dives under, with signs.
-
-    Each step (crossing id, sign) contributes the signed meridian of the
-    strand passing over at that crossing.
-    """
-
-    passes: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class EdgeWalk:
-    """A closed walk along graph edges; its class is that of the push-off.
-
-    Each step is (edge id, direction) with direction +1 for tail-to-head.
-    The push-off runs parallel to the walk, so it picks up the signed
-    meridian of the over-strand at every crossing the walk dives under;
-    walking an edge backwards flips those contributions.
-    """
-
-    steps: tuple[tuple[str, int], ...]
-
-
-MarkedLoop = Meridian | UnderPassWord | EdgeWalk
-
-
-@dataclass(frozen=True)
-class MeridianMap:
-    """Free-part coordinates for the meridian of every edge of a code."""
-
-    group: AbelianGroup
-    _coords: dict[str, tuple[int, ...]]
-
-    def edge_class(self, edge_id: str) -> LoopClass:
-        """The meridian class of an edge or circle."""
-        try:
-            return LoopClass(self._coords[edge_id])
-        except KeyError:
-            raise StructureError(f"no edge named {edge_id!r}") from None
-
-    def zero(self) -> LoopClass:
-        return LoopClass((0,) * self.group.free_rank)
-
-
-def h1_complement(g: SpatialGraphCode) -> tuple[AbelianGroup, MeridianMap]:
-    """First homology of the complement, with meridian coordinates.
+def h1_complement(g: SpatialGraphCode) -> tuple[AbelianGroup, dict[str, tuple[int, ...]]]:
+    """(group, coords): first homology of the complement, and for each edge
+    or circle id, in code order, the coordinates of its meridian in the
+    free part.
 
     The generators are the meridians of the edges and circles, in code
     order. Each trivalent vertex gives one relation: the meridians of the
@@ -126,62 +75,7 @@ def h1_complement(g: SpatialGraphCode) -> tuple[AbelianGroup, MeridianMap]:
     rank = len(diagonal)
     group = AbelianGroup(len(column) - rank, tuple(x for x in diagonal if x > 1))
     coords = {eid: tuple(basis.entries[j][rank:]) for eid, j in column.items()}
-    return group, MeridianMap(group, coords)
-
-
-def _over_edge(g: SpatialGraphCode, crossing_id: str) -> str:
-    for eid, _, position in g.crossing_passes().get(crossing_id, ()):
-        if position == "over":
-            return eid
-    raise StructureError(f"crossing {crossing_id} has no over pass")
-
-
-def _check_walk(g: SpatialGraphCode, steps: tuple[tuple[str, int], ...]) -> None:
-    if not steps:
-        raise StructureError("a walk needs at least one step")
-    start: str | None = None
-    cur: str | None = None
-    for eid, direction in steps:
-        if direction not in (1, -1):
-            raise StructureError("walk directions must be +1 or -1")
-        e = g.edge(eid)
-        if e.is_circle:
-            raise StructureError("walks follow graph edges, not circles")
-        s, t = (e.tail, e.head) if direction == 1 else (e.head, e.tail)
-        if cur is None:
-            start = s
-        elif s != cur:
-            raise StructureError(f"walk breaks before edge {eid}")
-        cur = t
-    if cur != start:
-        raise StructureError("walk does not close up")
-
-
-def loop_class(g: SpatialGraphCode, marked: MarkedLoop,
-               mapping: MeridianMap | None = None) -> LoopClass:
-    """Evaluate a marked loop in the homology of the complement."""
-    if mapping is None:
-        _, mapping = h1_complement(g)
-    if isinstance(marked, Meridian):
-        return mapping.edge_class(marked.edge)
-    total = mapping.zero()
-    if isinstance(marked, UnderPassWord):
-        for crossing_id, sign in marked.passes:
-            if sign not in (1, -1):
-                raise StructureError("under-pass signs must be +1 or -1")
-            total = total + mapping.edge_class(_over_edge(g, crossing_id)).scaled(sign)
-        return total
-    if isinstance(marked, EdgeWalk):
-        _check_walk(g, marked.steps)
-        for eid, direction in marked.steps:
-            for p in g.edge(eid).passes:
-                if p.position != "under":
-                    continue
-                over = _over_edge(g, p.crossing)
-                factor = direction * g.sign(p.crossing)
-                total = total + mapping.edge_class(over).scaled(factor)
-        return total
-    raise TypeError(f"not a marked loop: {marked!r}")
+    return group, coords
 
 
 # --- Alexander polynomial -------------------------------------------------------

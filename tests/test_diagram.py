@@ -5,6 +5,7 @@ import random
 
 import diagram_oracle
 import pytest
+from diagram_search_oracle import candidate_diagrams
 from hypothesis import given, settings, strategies as st
 from iso_oracle import brute_force_isomorphic
 
@@ -53,6 +54,22 @@ def test_enumeration_gives_thirteen_classes():
     assert len(reps) == 13
     types = sorted(classify_type(d).as_tuple() for d in reps)
     assert types == sorted(EXPECTED_TYPES)
+
+
+def test_a_wider_search_finds_the_same_thirteen_classes():
+    """Up to four extra solid nodes and four edges, the valid candidates
+    fall into exactly the classes of enumerate_valid. No 4-edge candidate
+    is valid: each edge meets the labeled node (C-iv), whose degree is at
+    most three (C-vii)."""
+    candidates = list(candidate_diagrams(max_extra=4, max_edges=4))
+    assert len(candidates) == 10_244
+    keys = {canonical_form(d) for d in candidates if not d.violations}
+    assert keys == {canonical_form(d) for d in enumerate_valid()}
+    assert len(keys) == 13
+    four_edges = [d for d in candidates if len(d.edges) == 4]
+    assert four_edges
+    for d in four_edges:
+        assert {v.code for v in d.violations} & {"C-iv", "C-vii", "conn"}, d
 
 
 def test_enumeration_reps_are_pairwise_nonisomorphic():

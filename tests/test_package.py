@@ -14,11 +14,11 @@ from hkdiag import diagram, homology, labeling, spatial, wirtinger
 EXPORTED = {
     "AbelianGroup", "AnnulusDiagram", "AnnulusPrediction", "CatalogEntry",
     "CharDiagram", "ContradictionError", "Crossing", "DiagramType", "EdgeCode",
-    "EdgeLabel", "EdgeWalk", "Fact", "FactSet", "GraphClass", "GroupBound", "INFINITE",
-    "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass", "Meridian",
-    "MeridianMap", "Node", "NodeKind", "Pass", "Provenance",
+    "EdgeLabel", "Fact", "FactSet", "GraphClass", "GroupBound", "INFINITE",
+    "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass", "Node", "NodeKind", "Pass",
+    "Provenance",
     "SpatialGraphCode", "StructureError", "SymmetryBounds", "Transition",
-    "Unclassified", "UnderPassWord", "VertexCode", "Violation", "alexander_polynomial",
+    "Unclassified", "VertexCode", "Violation", "alexander_polynomial",
     "annulus_to_json_dict", "are_isomorphic",
     "attach_evidence", "bareiss_det", "canonical_form", "classify_atoroidal",
     "classify_type", "closed_braid", "constituent_invariants", "constituent_links",
@@ -26,7 +26,7 @@ EXPORTED = {
     "diagram_to_json_dict", "enumerate_valid", "family_odd_ringed", "family_torus_link",
     "format_annulus", "format_code", "h1_complement",
     "invariant_factors_of", "is_fourone", "klein_case_group", "label_catalog",
-    "labeled_isomorphic", "linking_number", "loop_at", "loop_class",
+    "labeled_isomorphic", "linking_number", "loop_at",
     "looping_kind", "looping_transition", "meridional_pair_predict", "mirror_code",
     "parse_annulus", "parse_code", "parse_label", "predicted_annulus",
     "primitivity_necessary", "realization_status", "resolve_end", "slope_pair_classify",

@@ -12,6 +12,7 @@ from sympy import Matrix
 
 from classify_oracle import two_ladder_classify
 from h1_oracle import arc_h1
+from loop_class_oracle import EdgeWalk, Meridian, UnderPassWord, loop_class
 from loop_oracle import two_branch_loop_at
 from parse_oracle import token_by_token_parse_code
 
@@ -49,14 +50,10 @@ from hkdiag.spatial import (
     validate_code,
 )
 from hkdiag.wirtinger import (
-    EdgeWalk,
-    Meridian,
-    UnderPassWord,
     alexander_polynomial,
     attach_evidence,
     constituent_invariants,
     h1_complement,
-    loop_class,
 )
 
 
@@ -428,38 +425,37 @@ def test_h1_ranks():
 
 def test_bridge_meridian_vanishes():
     g = family_torus_link(4, tunnel=True)
-    _, mm = h1_complement(g)
-    assert mm.edge_class("t").is_zero
-    assert subgroup_index([mm.edge_class("a"), mm.edge_class("b")]) == 1
+    _, coords = h1_complement(g)
+    assert coords["t"] == (0, 0)
+    assert subgroup_index([coords["a"], coords["b"]]) == 1
 
 
 def test_theta_meridian_relation():
     """At a trivalent vertex the three meridians satisfy one balance relation."""
     g = family_torus_link(3, tunnel=True)
-    _, mm = h1_complement(g)
-    assert mm.edge_class("t") == mm.edge_class("kb") + (-mm.edge_class("ka"))
+    _, coords = h1_complement(g)
+    assert coords["t"] == tuple(b - a for a, b in zip(coords["ka"], coords["kb"]))
 
 
 def test_loop_class_meridian():
     g = family_torus_link(3, tunnel=True)
-    assert loop_class(g, Meridian("ka")) == h1_complement(g)[1].edge_class("ka")
+    assert loop_class(g, Meridian("ka")).coords == h1_complement(g)[1]["ka"]
 
 
 def test_loop_class_under_pass_word():
     g = family_torus_link(3, tunnel=True)
-    _, mm = h1_complement(g)
+    _, coords = h1_complement(g)
     # ka dives under at x2, where kb passes over
-    got = loop_class(g, UnderPassWord((("x2", 1),)), mm)
-    assert got == mm.edge_class("kb")
+    got = loop_class(g, UnderPassWord((("x2", 1),)), coords)
+    assert got.coords == coords["kb"]
 
 
 def test_loop_class_edge_walk():
     g = family_torus_link(3, tunnel=True)
-    _, mm = h1_complement(g)
+    _, coords = h1_complement(g)
     walk = EdgeWalk((("ka", 1), ("kb", 1)))
-    got = loop_class(g, walk, mm)
-    expected = mm.edge_class("ka").scaled(2) + mm.edge_class("kb")
-    assert got == expected
+    got = loop_class(g, walk, coords)
+    assert got.coords == tuple(2 * a + b for a, b in zip(coords["ka"], coords["kb"]))
 
 
 def test_edge_walk_must_close():
@@ -474,9 +470,8 @@ def test_edge_walk_must_close():
     lambda g: loop_class(g, Meridian("zz")),
     lambda g: loop_class(g, UnderPassWord((("nope", 1),))),
     lambda g: loop_class(g, EdgeWalk((("zz", 1),))),
-    lambda g: h1_complement(g)[1].edge_class("zz"),
     lambda g: h1_complement(parse_code("graph theta\nvertex u ends a.0\n")),
-], ids=["meridian", "under-pass-word", "edge-walk", "edge-class", "invalid-code"])
+], ids=["meridian", "under-pass-word", "edge-walk", "invalid-code"])
 def test_h1_bad_input_raises_structure_error(call):
     with pytest.raises(StructureError):
         call(family_torus_link(3, tunnel=True))
@@ -505,16 +500,14 @@ def test_meridian_basis_is_pinned():
     spine = bundled_spine()
     pair = (resolve_end(spine, "u", "ka"), resolve_end(spine, "u", "kb"))
     once = loop_at(spine, "u", pair, tunnel="t")
-    _, mm = h1_complement(once)
-    coords = {e.id: mm.edge_class(e.id).coords for e in once.edges}
-    assert coords == {"ka+kb": (1, 0), "t": (0, 0), "c1": (0, 1)}
+    _, coords = h1_complement(once)
+    assert list(coords.items()) == [("ka+kb", (1, 0)), ("t", (0, 0)), ("c1", (0, 1))]
 
     link = closed_braid(braid(1, 1, 2, 2), 3)
     assert [e.id for e in link.edges] == ["c1", "c2", "c3"]
-    group, mm = h1_complement(link)
+    group, coords = h1_complement(link)
     assert str(group) == "Z^3"
-    assert [mm.edge_class(e.id).coords for e in link.edges] == [
-        (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert coords == {"c1": (1, 0, 0), "c2": (0, 1, 0), "c3": (0, 0, 1)}
 
 
 @st.composite
@@ -547,11 +540,12 @@ def spine_loopings(draw):
 def test_h1_agrees_with_the_arc_presentation(g):
     """Same group as the arc presentation, and meridian coordinates that
     differ from the oracle's by a unimodular change of basis: N = O U."""
-    group, mm = h1_complement(g)
+    group, coords = h1_complement(g)
     oracle_group, oracle = arc_h1(g)
     assert group == oracle_group
+    assert list(coords) == [e.id for e in g.edges]
     o = Matrix([oracle[e.id] for e in g.edges])
-    n = Matrix([mm.edge_class(e.id).coords for e in g.edges])
+    n = Matrix([coords[e.id] for e in g.edges])
     # The meridians generate H1, so o has full column rank and U is unique.
     u = (o.T * o).inv() * o.T * n
     assert all(x.is_integer for x in u)
@@ -566,19 +560,49 @@ def test_h1_agrees_with_the_arc_presentation(g):
     spine_loopings()))
 def test_loop_push_off_reads_the_linking_number(g):
     """On a handcuff, the push-off of loop a has coefficient lk(a, b) on the
-    meridian of loop b: wirtinger's EdgeWalk class against spatial's count."""
+    meridian of loop b: the oracle's EdgeWalk class against spatial's count."""
     assume(g.kind == "handcuff")
     (link,) = constituent_links(g)
-    _, mm = h1_complement(g)
+    _, coords = h1_complement(g)
     loops = [e.id for e in g.edges if e.is_vertex_loop]
     for a, b in (loops, loops[::-1]):
-        ma, mb = mm.edge_class(a).coords, mm.edge_class(b).coords
-        walk = loop_class(g, EdgeWalk(((a, 1),)), mm).coords
+        ma, mb = coords[a], coords[b]
+        walk = loop_class(g, EdgeWalk(((a, 1),)), coords).coords
         # the two loop meridians are a basis, so Cramer's rule reads off the
         # coefficient on mb
         basis = ma[0] * mb[1] - ma[1] * mb[0]
         assert basis in (1, -1)
         assert (ma[0] * walk[1] - ma[1] * walk[0]) * basis == linking_number(link, a, b)
+
+
+@st.composite
+def braid_links(draw):
+    """Closures of braids on 2-5 strands with at least two components; a
+    letter may come squared, which keeps two strands apart."""
+    strands = draw(st.integers(min_value=2, max_value=5))
+    syllable = st.tuples(st.integers(min_value=1, max_value=strands - 1),
+                         st.sampled_from((1, -1)), st.integers(min_value=1, max_value=2))
+    word = [(i, s) for i, s, k in draw(st.lists(syllable, max_size=20)) for _ in range(k)]
+    g = closed_braid(word, strands)
+    assume(len(g.edges) >= 2)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_links())
+def test_under_pass_word_reads_the_linking_number(g):
+    """The word of circle a's under-passes, each signed as its crossing, has
+    coordinate lk(a, b) on the meridian of b. The oracle counts only the
+    crossings where a passes under b; linking_number halves the signed sum
+    over all crossings of a and b. The two agree on planar codes, such as
+    braid closures, and may differ on virtual ones."""
+    _, coords = h1_complement(g)
+    names = [e.id for e in g.edges]
+    for a, b in itertools.permutations(names, 2):
+        word = UnderPassWord(tuple((p.crossing, g.sign(p.crossing))
+                                   for p in g.edge(a).passes if p.position == "under"))
+        # a link code's meridians are the unit vectors, in code order
+        assert loop_class(g, word, coords).coords[names.index(b)] == linking_number(g, a, b)
 
 
 # --- Alexander polynomials ------------------------------------------------------------
@@ -1315,6 +1339,22 @@ def test_an_id_that_is_no_string_is_a_violation():
                                     Violation("ids", "bad vertex identifier 5")]
     with pytest.raises(StructureError, match="bad edge identifier 7"):
         constituent_links(theta)
+
+
+def test_a_reference_that_is_no_string_is_a_violation():
+    """A pass whose crossing reference is no str, in a code whose ids are
+    all strings, is flagged by name, not a TypeError."""
+    g = family_torus_link(3, tunnel=True)
+    ka, *rest = g.edges
+    first, *later = ka.passes
+    bad = replace(g, edges=(replace(ka, passes=(replace(first, crossing=0), *later)), *rest))
+    assert validate_code(bad) == [
+        Violation("passes", "pass references undeclared crossing 0"),
+        Violation("passes", f"crossing {first.crossing} needs exactly one over and one under pass"),
+    ]
+    assert bad.violations[0].where == (("crossing", 0),)
+    with pytest.raises(StructureError, match="undeclared crossing 0"):
+        h1_complement(bad)
 
 
 @st.composite
