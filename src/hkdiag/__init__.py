@@ -3,7 +3,7 @@
 The package splits into five layers:
 
 - homology: exact integer linear algebra (Smith normal form, finitely
-  generated abelian groups, loop classes, Laurent polynomials).
+  generated abelian groups, subgroup indices, Laurent polynomials).
 - diagram: characteristic diagrams of annulus systems, their constraints,
   enumeration and isomorphism.
 - labeling: annulus labels on diagram edges, their slope pairs, the
@@ -36,9 +36,8 @@ _EXPORTS = {
         "realization_status", "solid_base_annotation", "validate",
     ),
     "homology": (
-        "AbelianGroup", "INFINITE", "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass",
-        "bareiss_det", "invariant_factors_of", "klein_case_group", "meridional_pair_predict",
-        "primitivity_necessary", "smith_normal_form", "subgroup_index",
+        "AbelianGroup", "INFINITE", "IntMatrix", "LaurentPoly", "bareiss_det",
+        "invariant_factors_of", "meridional_pair_predict", "smith_normal_form", "subgroup_index",
     ),
     "labeling": (
         "AnnulusDiagram", "CatalogEntry", "EdgeLabel", "Fact", "GroupBound",

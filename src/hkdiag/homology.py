@@ -1,10 +1,10 @@
 """Exact integer homology utilities.
 
 Everything in this module is integer arithmetic: Smith normal form with
-transformation matrices, finitely generated abelian groups given by
-presentations, first-homology classes of loops, the meridional coordinate
-predictions used when an annulus is attached to a handlebody-knot, and
-integer Laurent polynomials with their sparse determinant.
+transformation matrices, finitely generated abelian groups, the index of
+a subgroup of Z^n, the meridional coordinate predictions used when an
+annulus is attached to a handlebody-knot, and integer Laurent polynomials
+with their sparse determinant.
 
 No floating point is used anywhere.
 """
@@ -64,7 +64,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -283,6 +283,9 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for x in (self.free_rank, *self.invariant_factors):
+            if not isinstance(x, int):
+                raise TypeError(f"non-integer rank or invariant factor {x!r}")
         if self.free_rank < 0:
             raise ValueError("negative rank")
         for d, e in zip(self.invariant_factors, self.invariant_factors[1:]):
@@ -301,77 +304,28 @@ class AbelianGroup:
         return " x ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class LoopClass:
-    """Coordinates of a loop's first-homology class in a chosen free basis."""
-
-    coords: tuple[int, ...]
-
-    def __add__(self, other: "LoopClass") -> "LoopClass":
-        if len(self.coords) != len(other.coords):
-            raise ValueError("coordinate lengths disagree")
-        return LoopClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LoopClass":
-        return LoopClass(tuple(-a for a in self.coords))
-
-    def scaled(self, c: int) -> "LoopClass":
-        return LoopClass(tuple(c * a for a in self.coords))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
-def _class_rows(classes: Sequence) -> list[tuple[int, ...]]:
-    """The classes' coordinates, one row each: at least one row, all of one length."""
-    vecs = [c.coords if isinstance(c, LoopClass) else tuple(int(x) for x in c)
-            for c in classes]
-    if len({len(v) for v in vecs}) > 1:
-        raise ValueError("coordinate lengths disagree")
-    if not vecs:
-        raise ValueError("no classes given")
-    return vecs
-
-
-def subgroup_index(classes: Sequence) -> Index:
+def subgroup_index(classes: Sequence[Sequence[int]]) -> Index:
     """Index in Z^n of the subgroup generated by the given classes.
 
-    Classes may be LoopClass values or bare integer tuples; all must have the
-    same coordinate length n. The index is the product of the nonzero
-    diagonal entries of the Smith form when the classes span a finite-index
-    subgroup, and INFINITE otherwise.
+    Each class is a tuple of integer coordinates, all of the same length n.
+    The index is the product of the nonzero diagonal entries of the Smith
+    form when the classes span a finite-index subgroup, and INFINITE
+    otherwise.
 
     >>> subgroup_index([(1, 0), (0, 2)])
     2
     >>> subgroup_index([(1, 0), (2, 0)])
     INFINITE
     """
-    vecs = _class_rows(classes)
-    n = len(vecs[0])
-    if n == 0:
+    m = IntMatrix.from_rows(classes)
+    if not m.nrows:
+        raise ValueError("no classes given")
+    if not m.ncols:
         return 1
-    diag = invariant_factors_of(IntMatrix.from_rows(vecs))
-    if len(diag) < n:
+    diag = invariant_factors_of(m)
+    if len(diag) < m.ncols:
         return INFINITE
     return prod(diag)
-
-
-def primitivity_necessary(classes: Sequence) -> bool:
-    """Whether the classes form a primitive system (a direct summand basis).
-
-    True exactly when the span is a direct summand of the ambient lattice of
-    the same rank as the number of classes, i.e. all Smith diagonal entries
-    equal 1.
-
-    >>> primitivity_necessary([(1, 0)])
-    True
-    >>> primitivity_necessary([(2, 0)])
-    False
-    """
-    vecs = _class_rows(classes)
-    diag = invariant_factors_of(IntMatrix.from_rows(vecs))
-    return len(diag) == len(vecs) and all(x == 1 for x in diag)
 
 
 def meridional_pair_predict(p: int, q: int, p1: int, mirror: bool = False) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -394,53 +348,6 @@ def meridional_pair_predict(p: int, q: int, p1: int, mirror: bool = False) -> tu
     else:
         second = (p1 - 1, p - p1 + 1)
     return first, second
-
-
-@dataclass(frozen=True)
-class KleinCaseGroup:
-    """H1 data for an exterior whose annulus has a Klein-bottle-like core.
-
-    The group is presented as <v_plus, v_minus, u | v_plus + v_minus = k u>
-    with |k| >= 2 (mirroring negates k). Eliminating the relation leaves a
-    free group of rank 2; coordinates below are in the basis {v_plus, u}.
-    """
-
-    k: int
-    group: AbelianGroup
-    v_plus: LoopClass
-    v_minus: LoopClass
-    u: LoopClass
-    v_plus_u_basis: bool
-    v_minus_u_basis: bool
-
-
-def klein_case_group(k: int, mirror: bool = False) -> KleinCaseGroup:
-    """Evaluate the rank-2 presentation for a given multiplicity k.
-
-    Both {v_plus, u} and {v_minus, u} are bases; the basis checks are
-    computed, not assumed.
-
-    >>> g = klein_case_group(3)
-    >>> g.v_minus
-    LoopClass(coords=(-1, 3))
-    >>> g.v_minus_u_basis
-    True
-    """
-    if abs(k) < 2:
-        raise ValueError("multiplicity k must satisfy |k| >= 2")
-    kk = -k if mirror else k
-    v_plus = LoopClass((1, 0))
-    u = LoopClass((0, 1))
-    v_minus = LoopClass((-1, kk))
-    return KleinCaseGroup(
-        k=kk,
-        group=AbelianGroup(2),
-        v_plus=v_plus,
-        v_minus=v_minus,
-        u=u,
-        v_plus_u_basis=subgroup_index([v_plus, u]) == 1,
-        v_minus_u_basis=subgroup_index([v_minus, u]) == 1,
-    )
 
 
 @dataclass(frozen=True)

@@ -466,9 +466,12 @@ def label_catalog() -> tuple[CatalogEntry, ...]:
 
     Parameterized labels appear with one representative slope each, so the
     catalog is finite; entries are distinguished by base class and label
-    multiset. Exactly six entries carry an h label: the single h1 diagram
-    and the five h2 diagrams. The catalog is computed once per process, and
-    every call returns that same immutable tuple.
+    multiset. Its 66 entries count labelings up to the slope values within
+    a shape: k2(2) stands for every k2 slope, and l(2/3,3/2) and l(2/3,6)
+    for every reciprocal and product pair. Exactly six entries carry an h
+    label: the single h1 diagram and the five h2 diagrams. The catalog is
+    computed once per process, and every call returns that same immutable
+    tuple.
     """
     entries: list[CatalogEntry] = []
     for d in enumerate_valid():

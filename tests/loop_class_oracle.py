@@ -12,8 +12,29 @@ independently of spatial.linking_number.
 from dataclasses import dataclass
 
 from hkdiag.errors import StructureError
-from hkdiag.homology import LoopClass
 from hkdiag.wirtinger import h1_complement
+
+
+@dataclass(frozen=True)
+class LoopClass:
+    """Coordinates of a loop's first-homology class in the meridian basis."""
+
+    coords: tuple[int, ...]
+
+    def __add__(self, other: "LoopClass") -> "LoopClass":
+        if len(self.coords) != len(other.coords):
+            raise ValueError("coordinate lengths disagree")
+        return LoopClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self) -> "LoopClass":
+        return LoopClass(tuple(-a for a in self.coords))
+
+    def scaled(self, c: int) -> "LoopClass":
+        return LoopClass(tuple(c * a for a in self.coords))
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coords)
 
 
 @dataclass(frozen=True)

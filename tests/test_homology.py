@@ -17,18 +17,16 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 
 from det_oracle import dense_bareiss_det
 from h1_oracle import group_from_presentation
+from loop_class_oracle import LoopClass
 
 from hkdiag.homology import (
     AbelianGroup,
     INFINITE,
     IntMatrix,
     LaurentPoly,
-    LoopClass,
     bareiss_det,
     invariant_factors_of,
-    klein_case_group,
     meridional_pair_predict,
-    primitivity_necessary,
     smith_normal_form,
     subgroup_index,
 )
@@ -146,16 +144,26 @@ def test_subgroup_index(classes, expected):
         assert got == expected
 
 
-def test_subgroup_index_accepts_loop_classes():
-    assert subgroup_index([LoopClass((3, 1)), LoopClass((1, 1))]) == 2
-
-
-def test_primitivity():
-    assert primitivity_necessary([(1, 0)])
-    assert primitivity_necessary([(2, 1)])
-    assert not primitivity_necessary([(2, 0)])
-    assert not primitivity_necessary([(1, 0), (1, 0)])
-    assert primitivity_necessary([(1, 0, 0), (0, 1, 0)])
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: IntMatrix.from_rows([[1.5]]), TypeError),
+        (lambda: IntMatrix.from_rows([["2"]]), TypeError),
+        (lambda: subgroup_index([(1.9, 0), (0, 2.5)]), TypeError),
+        (lambda: AbelianGroup(1.5), TypeError),
+        (lambda: AbelianGroup(2, (2.0, 4.0)), TypeError),
+        (lambda: subgroup_index([]), ValueError),
+        (lambda: subgroup_index([(1, 0), (1,)]), ValueError),
+        (lambda: subgroup_index([(), (1,)]), ValueError),
+    ],
+    ids=["float-entry", "str-entry", "float-classes", "float-rank", "float-factors",
+         "no-classes", "ragged-classes", "ragged-after-empty"],
+)
+def test_bad_values_are_refused_where_built(build, error):
+    """A float or a string is refused where the value is built, not rounded,
+    and so are an empty or ragged set of classes."""
+    with pytest.raises(error):
+        build()
 
 
 def test_loop_class_arithmetic():
@@ -190,19 +198,6 @@ def test_meridional_pair_degenerates_at_p_zero():
 def test_meridional_pair_requires_lowest_terms():
     with pytest.raises(ValueError):
         meridional_pair_predict(4, 2, 1)
-
-
-def test_klein_case_bases():
-    for k in (2, 3, -2, 7):
-        g = klein_case_group(k)
-        assert g.group == AbelianGroup(2)
-        assert g.v_plus_u_basis
-        assert g.v_minus_u_basis
-        assert g.v_plus + g.v_minus == g.u.scaled(g.k)
-    mirrored = klein_case_group(3, mirror=True)
-    assert mirrored.k == -3
-    with pytest.raises(ValueError):
-        klein_case_group(1)
 
 
 def test_laurent_arithmetic():

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 from iso_oracle import brute_force_isomorphic
+from label_search_oracle import candidate_labelings
 
 from hkdiag.diagram import (
     CharDiagram,
@@ -289,6 +290,23 @@ def catalog():
 
 def test_catalog_size(catalog):
     assert len(catalog) == 66
+
+
+def test_a_wider_label_alphabet_finds_the_same_catalog(catalog):
+    """Over three k2 slopes and six l slope pairs, the valid labelings fall
+    into the catalog's 66 entries when each label is read as its kind and
+    slope shape. Read as kinds alone, both sides give 65: the single-loop
+    diagram's reciprocal and product l labels become one."""
+    def keys(diagrams, name):
+        return {canonical_form(ad.base, [name(lab) for lab in ad.labels]) for ad in diagrams}
+
+    found = [ad for ad in candidate_labelings() if not ad.violations]
+    entries = [e.diagram for e in catalog]
+    for name, count in ((lambda lab: f"{lab.kind}:{lab.slope_shape}", 66),
+                        (lambda lab: lab.kind, 65)):
+        expected = keys(entries, name)
+        assert keys(found, name) == expected
+        assert len(expected) == count
 
 
 def test_catalog_h_split(catalog):

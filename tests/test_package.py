@@ -15,7 +15,7 @@ EXPORTED = {
     "AbelianGroup", "AnnulusDiagram", "AnnulusPrediction", "CatalogEntry",
     "CharDiagram", "ContradictionError", "Crossing", "DiagramType", "EdgeCode",
     "EdgeLabel", "Fact", "FactSet", "GraphClass", "GroupBound", "INFINITE",
-    "IntMatrix", "KleinCaseGroup", "LaurentPoly", "LoopClass", "Node", "NodeKind", "Pass",
+    "IntMatrix", "LaurentPoly", "Node", "NodeKind", "Pass",
     "Provenance",
     "SpatialGraphCode", "StructureError", "SymmetryBounds", "Transition",
     "Unclassified", "VertexCode", "Violation", "alexander_polynomial",
@@ -25,11 +25,11 @@ EXPORTED = {
     "derived_facts",
     "diagram_to_json_dict", "enumerate_valid", "family_odd_ringed", "family_torus_link",
     "format_annulus", "format_code", "h1_complement",
-    "invariant_factors_of", "is_fourone", "klein_case_group", "label_catalog",
+    "invariant_factors_of", "is_fourone", "label_catalog",
     "labeled_isomorphic", "linking_number", "loop_at",
     "looping_kind", "looping_transition", "meridional_pair_predict", "mirror_code",
     "parse_annulus", "parse_code", "parse_label", "predicted_annulus",
-    "primitivity_necessary", "realization_status", "resolve_end", "slope_pair_classify",
+    "realization_status", "resolve_end", "slope_pair_classify",
     "smith_normal_form", "solid_base_annotation", "subgroup_index", "symmetry_bounds",
     "type_three_two_linking_test", "validate", "validate_code", "validate_labels",
 }
