@@ -115,11 +115,16 @@ def bareiss_det(rows: Sequence[Sequence], one=1):
     updated by pivot p with pivot row x becomes (y * p - lead * x) // p_then,
     or y * p // p_then where x is zero. Each quotient is exact because it is
     a Bareiss minor (Sylvester's identity); p_now // p_then alone need not
-    be, so the product comes first. Entries need only `*`, `-`, exact `//`
-    and truthiness, so int and LaurentPoly both work; `one` is the ring's
-    unit. The determinant is the last pivot, signed by the permutation that
-    takes pivot rows to pivot columns; a row that empties makes it zero.
+    be, so the product comes first. Each entry is an int or a LaurentPoly
+    (TypeError otherwise: a float would make the divisions inexact), and
+    `one` is the ring's unit. The determinant is the last pivot, signed by
+    the permutation that takes pivot rows to pivot columns; a row that
+    empties makes it zero.
     """
+    for row in rows:
+        for x in row:
+            if not isinstance(x, (int, LaurentPoly)):
+                raise TypeError(f"entry {x!r} is neither an int nor a LaurentPoly")
     n = len(rows)
     live = [{j: x for j, x in enumerate(row) if x} for row in rows]
     in_column: dict[int, set[int]] = {}
@@ -358,6 +363,15 @@ class LaurentPoly:
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """The polynomial sum of c * t^e; TypeError for an e or c that is
+        not an int."""
+        if not all(isinstance(x, int) for term in coeffs.items() for x in term):
+            raise TypeError(f"non-integer exponent or coefficient in {coeffs!r}")
+        return cls._of(coeffs)
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, int]) -> "LaurentPoly":
+        """from_dict without the check, for results of integer arithmetic."""
         return cls(tuple(sorted((e, c) for e, c in coeffs.items() if c)))
 
     @classmethod
@@ -382,7 +396,7 @@ class LaurentPoly:
         coeffs: dict[int, int] = dict(self.terms)
         for e, c in other.terms:
             coeffs[e] = coeffs.get(e, 0) + c
-        return LaurentPoly.from_dict(coeffs)
+        return LaurentPoly._of(coeffs)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((e, -c) for e, c in self.terms))
@@ -395,7 +409,7 @@ class LaurentPoly:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 coeffs[e1 + e2] = coeffs.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly.from_dict(coeffs)
+        return LaurentPoly._of(coeffs)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -431,7 +445,7 @@ class LaurentPoly:
                     rem[e + shift] = rem.get(e + shift, 0) - q * c
         if any(rem.values()):
             raise ValueError(f"{other} does not divide {self}")
-        return LaurentPoly.from_dict(quotient)
+        return LaurentPoly._of(quotient)
 
     def normalized(self) -> "LaurentPoly":
         """Shift so the lowest exponent is 0 and the leading coefficient > 0."""

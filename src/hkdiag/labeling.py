@@ -193,7 +193,7 @@ class AnnulusDiagram:
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """validate_labels of this diagram, computed once."""
-        return tuple(_label_violations(self))
+        return tuple(validate_labels(self))
 
 
 def validate_labels(ad: AnnulusDiagram) -> list[Violation]:
@@ -212,10 +212,6 @@ def validate_labels(ad: AnnulusDiagram) -> list[Violation]:
     R7  two h2 labels never coexist with a k-labeled edge
     R8  h2 on a non-loop edge occurs only in a theta-shape diagram
     """
-    return list(ad.violations)
-
-
-def _label_violations(ad: AnnulusDiagram) -> list[Violation]:
     out = list(ad.base.violations)
     if out:
         return out

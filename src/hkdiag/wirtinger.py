@@ -11,13 +11,14 @@ Splitting the circle of a knot code at its under-passes gives the arcs of
 the Fox-calculus matrix of the one-variable Alexander polynomial. Row j
 runs from arc j into arc j+1, so once the last row is dropped the rows
 chain the arcs from first to last. Unit pivots are then eliminated (rules
-A and B of `alexander_polynomial`); both only contract that chain, so r
-rows left span r+1 arc classes. Every row sums to zero, so any one column
-may go, and each elimination changes the determinant by a unit +-t^k only
-(Crowell and Fox, 1963, ch. VII), on planar and virtual codes alike. Sparse
-Bareiss elimination over Z[t, t^-1] takes the determinant of what is left,
-every division exact. Those polynomials certify that constituent knots of
-a graph code are knotted.
+A and B of `alexander_polynomial`) by sweeps of a stack along that chain;
+both rules only contract it, so r rows left span r+1 arc classes, and
+rows consecutive among those left share an arc. Every row sums to zero, so
+any one column may go, and each elimination changes the determinant by a
+unit +-t^k only (Crowell and Fox, 1963, ch. VII), on planar and virtual
+codes alike. Sparse Bareiss elimination over Z[t, t^-1] takes the
+determinant of what is left, every division exact. Those polynomials
+certify that constituent knots of a graph code are knotted.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     arc contributes t, the over arc 1 - t, and the outgoing arc -1; at a
     negative crossing t is inverted. The last row is dropped first, since
     on a virtual code the value depends on which row goes. Unit pivots of
-    the rows left are then eliminated, arcs standing for the classes merged
-    so far (`_eliminate_units`):
+    the rows left are then eliminated until neither rule applies, arcs
+    standing for the classes merged so far (`_eliminate_units`):
     (A) a kink row, whose over arc is its incoming or outgoing arc, is
         u (e_in - e_out) for a unit u in {1, t, t^-1}; it goes, and its two
         arcs merge into one column;
@@ -149,29 +150,29 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
 
 def _eliminate_units(rows: list[tuple[int, int, int, int]], m: int) -> list[tuple]:
     """Rules (A) and (B) of `alexander_polynomial` on the Fox matrix less
-    its last row.
+    its last row, until neither applies.
 
     `rows` holds (in arc, over arc, out arc, sign) of the kept rows, arcs
-    0..m-1. A union-find merges arc classes. Returns the rows left, each arc
-    replaced by its class.
+    0..m-1, in chain order. A union-find merges arc classes, and `uses`
+    counts the slots of kept rows in each class. Returns the rows left, each
+    arc replaced by its class.
 
-    The rows chain from in to out arc, from arc 0 to arc m-1, and both
-    rules only contract that chain. So a row's in and out classes always
-    differ, and so do the outer classes of a pair; the class of arc m-1
-    stays the chain's end, never a pair's middle arc; and the r rows left
-    span r+1 classes. The scan never restarts: a merge re-queues the rows
-    of its smaller class, which holds every row that can newly match a
-    rule, and a deletion those of any class it leaves with two slots, which
-    may now be a pair's middle arc.
+    The rows chain from in to out arc, from arc 0 to arc m-1: a path, since
+    row m-1, which closes the circle, is dropped first. Both rules only
+    contract that chain, so two rows that are consecutive among those left
+    share the class between them, and a pair of rule (B) is always the top
+    two rows of a stack of the rows in chain order. One sweep pushes the
+    rows and eliminates at the top while a rule applies there. A merge or a
+    deletion can enable a rule deeper in the stack, so sweeps repeat until
+    one changes nothing: at most one sweep more than there are
+    eliminations. Keeping all m rows would make the chain a cycle, whose
+    first and last rows may also form a pair across the wrap.
     """
     parent = list(range(m))
-    touching: list[list[int]] = [[] for _ in range(m)]  # per class, one entry per row slot
-    for i, row in enumerate(rows):
+    uses = [0] * m
+    for row in rows:
         for arc in row[:3]:
-            touching[arc].append(i)
-    uses = [len(t) for t in touching]  # slots of kept rows in each class
-    alive = [True] * len(rows)
-    work = list(range(len(rows)))
+            uses[arc] += 1
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -179,49 +180,29 @@ def _eliminate_units(rows: list[tuple[int, int, int, int]], m: int) -> list[tupl
             x = parent[x]
         return x
 
-    def live(c: int) -> list[int]:
-        touching[c] = [i for i in touching[c] if alive[i]]
-        return touching[c]
-
-    def delete(i: int) -> None:
-        alive[i] = False
-        for arc in rows[i][:3]:
-            c = find(arc)
-            uses[c] -= 1
-            if uses[c] == 2:
-                work.extend(live(c))
-
-    def union(a: int, b: int) -> None:
-        if len(touching[a]) < len(touching[b]):
-            a, b = b, a
-        parent[b] = a
-        uses[a] += uses[b]
-        touching[a] += touching[b]
-        work.extend(i for i in touching[b] if alive[i])
-        touching[b] = []
-
-    while work:
-        i = work.pop()
-        if not alive[i]:
-            continue
-        a, v, b, _ = rows[i]
-        a, v, b = find(a), find(v), find(b)
-        if v in (a, b):  # (A) a kink row
-            delete(i)
-            union(a, b)
-            continue
-        for x in (b, a):  # (B) row i first or second of a pair through x
-            if uses[x] != 2:
-                continue
-            (other,) = (k for k in live(x) if k != i)
-            j, k = (i, other) if x == b else (other, i)
-            (aj, vj, bj, sj), (ak, vk, bk, sk) = rows[j], rows[k]
-            if find(bj) == x == find(ak) and find(vj) == find(vk) and sj != sk:
-                delete(j)
-                delete(k)
-                union(find(aj), find(bk))
-                break
-    return [tuple(map(find, row[:3])) + (row[3],) for i, row in enumerate(rows) if alive[i]]
+    changed = True
+    while changed:
+        changed, stack = False, []
+        for row in rows:
+            stack.append(row)
+            while stack:
+                top = stack[-1]
+                a, v, b = map(find, top[:3])
+                below = stack[-2] if len(stack) > 1 else None
+                if v in (a, b):  # (A) a kink row
+                    gone = [top]
+                elif below and uses[a] == 2 and find(below[1]) == v and below[3] != top[3]:
+                    gone, a = [below, top], find(below[0])  # (B) a pair through class a
+                else:
+                    break
+                del stack[-len(gone):]
+                for slot in [arc for r in gone for arc in r[:3]]:
+                    uses[find(slot)] -= 1
+                parent[b] = a  # b's class merges into a's
+                uses[a] += uses[b]
+                changed = True
+        rows = stack
+    return [tuple(map(find, row[:3])) + (row[3],) for row in rows]
 
 
 def constituent_invariants(g: SpatialGraphCode) -> tuple[dict, dict]:

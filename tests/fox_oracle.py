@@ -9,15 +9,19 @@ the arc that ends at the next under-pass along the circle, found by walking
 forward and wrapping around. Row m-1 is dropped, as the library drops it,
 and one column: by default column m-1. Every row sums to zero, so each
 choice of column gives the same determinant up to sign.
+
+`reducible` says whether a unit elimination is still possible in the rows
+that the library's eliminations leave.
 """
+
+from collections import Counter
 
 from hkdiag.homology import LaurentPoly
 
 
-def fox_minor(g, column=-1):
-    """The (m-1)x(m-1) minor of the Fox matrix of a one-circle link code
-    without row m-1 and column `column` (a list index, -1 for m-1), as
-    dense rows of LaurentPoly."""
+def fox_rows(g):
+    """(m, rows) of a one-circle link code: its m under-passes, and (in arc,
+    over arc, out arc, sign) of each Fox row but row m-1, in order."""
     (edge,) = g.edges
     passes = edge.passes
     sign = {c.id: c.sign for c in g.crossings}
@@ -34,15 +38,37 @@ def fox_minor(g, column=-1):
                 return under_rank[j]
 
     over_at = {p.crossing: i for i, p in enumerate(passes) if p.position == "over"}
-    one, zero = LaurentPoly.constant(1), LaurentPoly()
     rows = []
     for i, r in sorted(under_rank.items(), key=lambda item: item[1]):
         crossing = passes[i].crossing
-        t = LaurentPoly.t(sign[crossing])
+        rows.append((r, arc_of(over_at[crossing]), (r + 1) % m, sign[crossing]))
+    return m, rows[: m - 1]
+
+
+def fox_minor(g, column=-1):
+    """The (m-1)x(m-1) minor of the Fox matrix of a one-circle link code
+    without row m-1 and column `column` (a list index, -1 for m-1), as
+    dense rows of LaurentPoly."""
+    m, rows = fox_rows(g)
+    one, zero = LaurentPoly.constant(1), LaurentPoly()
+    minor = []
+    for r, over, out, s in rows:
+        t = LaurentPoly.t(s)
         row = [zero] * m
-        for arc, entry in ((r, t), (arc_of(over_at[crossing]), one - t),
-                           ((r + 1) % m, -one)):
+        for arc, entry in ((r, t), (over, one - t), (out, -one)):
             row[arc] = row[arc] + entry
         del row[column]
-        rows.append(row)
-    return rows[: m - 1]
+        minor.append(row)
+    return minor
+
+
+def reducible(rows):
+    """Whether a unit elimination applies to rows (in, over, out, sign) of
+    arc classes, in chain order: some row is a kink (its over class is its
+    in or out class), or two consecutive rows have equal over classes,
+    opposite signs, and a shared class that no other slot uses."""
+    slots = Counter(c for row in rows for c in row[:3])
+    if any(over in (a, b) for a, over, b, _ in rows):
+        return True
+    return any(b == a2 and slots[b] == 2 and over == over2 and s != s2
+               for (_, over, b, s), (a2, over2, _, s2) in zip(rows, rows[1:]))

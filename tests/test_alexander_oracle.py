@@ -14,7 +14,8 @@ A second oracle checks the unit eliminations that `alexander_polynomial`
 makes before its determinant: the dense determinant of the unreduced Fox
 minor (`fox_oracle.py`, `det_oracle.py`) on any one-circle code, virtual
 ones included, and on braid closures padded with cancelling pairs and kinks,
-with any one column of the minor left out.
+with any one column of the minor left out. `fox_oracle.reducible` checks
+that the eliminations stop only when no unit pivot is left.
 """
 
 from unittest import mock
@@ -25,11 +26,11 @@ from hypothesis import given, seed, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from det_oracle import dense_bareiss_det
-from fox_oracle import fox_minor
+from fox_oracle import fox_minor, fox_rows, reducible
 from hkdiag import wirtinger
 from hkdiag.homology import LaurentPoly
 from hkdiag.spatial import Crossing, EdgeCode, Pass, SpatialGraphCode, closed_braid
-from hkdiag.wirtinger import alexander_polynomial
+from hkdiag.wirtinger import _eliminate_units, alexander_polynomial
 
 T = sympy.Symbol("t")
 RING = sympy.ZZ[T]
@@ -251,3 +252,21 @@ FULLY_REDUCED = [
 def test_a_code_that_reduces_fully_skips_the_determinant(g):
     assert len(fox_minor(g)) > 1 and minor_det(g) == ONE
     assert bareiss_sizes(g) == (ONE, [])
+
+
+@seed(20265)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(gauss_codes(), padded_braids().map(lambda closures: closures[1])))
+def test_the_eliminations_stop_only_when_no_rule_applies(g):
+    m, rows = fox_rows(g)
+    left = _eliminate_units(rows, m)
+    assert all(b == a2 for (_, _, b, _), (a2, _, _, _) in zip(left, left[1:]))
+    assert not reducible(left)
+
+
+def test_a_staircase_of_nested_kinks_reduces_fully():
+    """Row k runs from arc k to arc k+1 over arc k+2, and the last row is a
+    kink: each elimination makes the row before it a kink."""
+    rows = [(k, k + 2, k + 1, (-1) ** k) for k in range(39)] + [(39, 40, 40, 1)]
+    assert reducible(rows)
+    assert _eliminate_units(rows, 41) == []

@@ -155,13 +155,24 @@ def test_subgroup_index(classes, expected):
         (lambda: subgroup_index([]), ValueError),
         (lambda: subgroup_index([(1, 0), (1,)]), ValueError),
         (lambda: subgroup_index([(), (1,)]), ValueError),
+        (lambda: bareiss_det([[1.5, 2], [3, 5]]), TypeError),
+        (lambda: bareiss_det([[2, 1.5, 0], [1, 2, 1], [0, 1, 2]]), TypeError),
+        (lambda: bareiss_det([[0.0]]), TypeError),
+        (lambda: LaurentPoly.from_dict({0: 1.5, 2.0: 2}), TypeError),
+        (lambda: LaurentPoly.constant(1.5), TypeError),
+        (lambda: LaurentPoly.t(2.0), TypeError),
+        (lambda: LaurentPoly.t(1, 0.5), TypeError),
     ],
     ids=["float-entry", "str-entry", "float-classes", "float-rank", "float-factors",
-         "no-classes", "ragged-classes", "ragged-after-empty"],
+         "no-classes", "ragged-classes", "ragged-after-empty", "float-det-2x2",
+         "float-det-3x3", "float-zero-det", "float-laurent-terms", "float-laurent-constant",
+         "float-laurent-exponent", "float-laurent-coefficient"],
 )
 def test_bad_values_are_refused_where_built(build, error):
     """A float or a string is refused where the value is built, not rounded,
-    and so are an empty or ragged set of classes."""
+    and so are an empty or ragged set of classes. A determinant of floats is
+    refused, not computed with inexact division (it read 1.0 and 2.0 for
+    1.5 and 3)."""
     with pytest.raises(error):
         build()
 
