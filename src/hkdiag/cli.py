@@ -5,6 +5,8 @@ characteristic diagrams, symmetry reads the bound table, loop and family
 build spatial graph codes, linking and analyze interrogate them. Exit codes
 are 0 for success, 1 for rule violations or contradicted assertions, 2 for
 malformed input, and 3 for an internal error, which prints its traceback.
+A reader that closes stdout early (`| head`) gives 141, 128 + SIGPIPE, and
+nothing on stderr.
 A graph code with a structural defect is malformed input: every command exits
 2 with its line; analyze's JSON keeps an always-empty "violations" key.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_STRUCTURE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 _BOOL_FACTS = ("atoroidal", "planar", "split")
 _EDGE_FACTS = ("tunnel", "knotting-arc")
@@ -579,7 +583,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe, as `| head` does: not a crash. Point
+        # stdout at devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except StructureError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_STRUCTURE

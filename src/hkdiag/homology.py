@@ -115,12 +115,14 @@ def bareiss_det(rows: Sequence[Sequence], one=1):
     updated by pivot p with pivot row x becomes (y * p - lead * x) // p_then,
     or y * p // p_then where x is zero. Each quotient is exact because it is
     a Bareiss minor (Sylvester's identity); p_now // p_then alone need not
-    be, so the product comes first. Each entry is an int or a LaurentPoly
-    (TypeError otherwise: a float would make the divisions inexact), and
-    `one` is the ring's unit. The determinant is the last pivot, signed by
+    be, so the product comes first. Each entry is an int or a LaurentPoly,
+    and so is `one`, the ring's unit (TypeError otherwise: a float would
+    make the divisions inexact). The determinant is the last pivot, signed by
     the permutation that takes pivot rows to pivot columns; a row that
     empties makes it zero.
     """
+    if not isinstance(one, (int, LaurentPoly)):
+        raise TypeError(f"unit {one!r} is neither an int nor a LaurentPoly")
     for row in rows:
         for x in row:
             if not isinstance(x, (int, LaurentPoly)):
@@ -357,9 +359,27 @@ def meridional_pair_predict(p: int, q: int, p1: int, mirror: bool = False) -> tu
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """A one-variable integer Laurent polynomial, kept in sorted sparse form."""
+    """A one-variable integer Laurent polynomial, kept in sorted sparse form.
+
+    `terms` holds (exponent, coefficient) pairs of ints, exponents strictly
+    increasing and no coefficient zero, so equal polynomials have equal
+    terms. The constructor refuses anything else: TypeError for a term that
+    is not a pair of ints, ValueError for an exponent out of order or
+    repeated, or a zero coefficient.
+    """
 
     terms: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        terms = self.terms
+        if not isinstance(terms, tuple) or not all(
+                isinstance(term, tuple) and len(term) == 2
+                and isinstance(term[0], int) and isinstance(term[1], int) for term in terms):
+            raise TypeError(f"terms {terms!r} are not a tuple of (int, int) pairs")
+        if any(a >= b for (a, _), (b, _) in zip(terms, terms[1:])):
+            raise ValueError(f"exponents of {terms!r} do not strictly increase")
+        if not all(c for _, c in terms):
+            raise ValueError(f"terms {terms!r} hold a zero coefficient")
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "LaurentPoly":
@@ -372,7 +392,15 @@ class LaurentPoly:
     @classmethod
     def _of(cls, coeffs: dict[int, int]) -> "LaurentPoly":
         """from_dict without the check, for results of integer arithmetic."""
-        return cls(tuple(sorted((e, c) for e, c in coeffs.items() if c)))
+        return cls._unchecked(tuple(sorted((e, c) for e, c in coeffs.items() if c)))
+
+    @classmethod
+    def _unchecked(cls, terms: tuple[tuple[int, int], ...]) -> "LaurentPoly":
+        """The polynomial of terms already in the constructor's form, built
+        without its check."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
@@ -399,7 +427,7 @@ class LaurentPoly:
         return LaurentPoly._of(coeffs)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(tuple((e, -c) for e, c in self.terms))
+        return LaurentPoly._unchecked(tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -430,7 +458,7 @@ class LaurentPoly:
                 if r:
                     raise ValueError(f"{other} does not divide {self}")
                 quotient.append((e - shift, q))
-            return LaurentPoly(tuple(quotient))
+            return LaurentPoly._unchecked(tuple(quotient))
         *rest, (top, lead) = other.terms
         rem, quotient = dict(self.terms), {}
         # an exact quotient's exponents run from top(self) - top down to low
@@ -455,7 +483,7 @@ class LaurentPoly:
         shifted = [(e - low, c) for e, c in self.terms]
         if shifted[-1][1] < 0:
             shifted = [(e, -c) for e, c in shifted]
-        return LaurentPoly(tuple(shifted))
+        return LaurentPoly._unchecked(tuple(shifted))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -16,14 +16,19 @@ both rules only contract it, so r rows left span r+1 arc classes, and
 rows consecutive among those left share an arc. Every row sums to zero, so
 any one column may go, and each elimination changes the determinant by a
 unit +-t^k only (Crowell and Fox, 1963, ch. VII), on planar and virtual
-codes alike. Sparse Bareiss elimination over Z[t, t^-1] takes the
-determinant of what is left, every division exact. Those polynomials
-certify that constituent knots of a graph code are knotted.
+codes alike. The minor left is evaluated at t = 2^B (Kronecker
+substitution), so its determinant is one sparse Bareiss elimination over
+the ints, every division exact. B comes from Hadamard's bound on the
+coefficients, so the balanced base-2^B digits of that integer are the
+polynomial's coefficients. Above order `_INT_DET_MAX_ORDER` the ints grow
+too long and the elimination runs over Z[t, t^-1] instead. Those
+polynomials certify that constituent knots of a graph code are knotted.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import _EXPORTS
 from .errors import StructureError
@@ -81,10 +86,19 @@ def h1_complement(g: SpatialGraphCode) -> tuple[AbelianGroup, dict[str, tuple[in
 
 # --- Alexander polynomial -------------------------------------------------------
 
-# Fox derivative entries of a crossing's row, by sign: incoming under arc,
-# over arc, outgoing under arc.
-_FOX_ENTRIES = {s: (LaurentPoly.t(s), LaurentPoly.constant(1) - LaurentPoly.t(s),
-                    LaurentPoly.constant(-1)) for s in (1, -1)}
+# Fox derivative entries of a crossing's row, by sign, as (c0, c1) for
+# c0 + c1 t: incoming under arc, over arc, outgoing under arc. A negative
+# crossing's row is multiplied by t, which scales the determinant by a unit,
+# so every entry has degree at most 1.
+_FOX_ENTRIES = {1: ((0, 1), (1, -1), (-1, 0)), -1: ((1, 0), (-1, 1), (0, -1))}
+
+# Largest order of reduced minor whose determinant is taken over the ints at
+# t = 2^B. B grows with the order and an entry of the elimination with B
+# times its step, while CPython divides long ints in quadratic time; so on
+# larger minors whose polynomials stay short, `bareiss_det` over LaurentPoly
+# costs less. On 3-5-strand braid closures the ints first lost at order 93
+# and lost on most minors above 105; T(2,n) never lost up to order 400.
+_INT_DET_MAX_ORDER = 90
 
 
 def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
@@ -109,10 +123,12 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     Introduction to Knot Theory, 1963, ch. VII). The argument is about the
     matrix alone, so it holds for virtual codes too. The column numbered
     last is dropped last: every row sums to zero, so any column gives the
-    same minor up to sign. `bareiss_det` takes its determinant, shifted to
-    lowest degree zero with positive leading coefficient. For codes of
-    genuine knot diagrams the value at 1 is a unit; garbage codes make no
-    such promise.
+    same minor up to sign. `_minor_det` takes the determinant of what is
+    left: one `bareiss_det` over the ints at t = 2^B, B read off Hadamard's
+    bound on the coefficients, or over LaurentPoly above order
+    `_INT_DET_MAX_ORDER`. It is then shifted to lowest degree zero with
+    positive leading coefficient. For codes of genuine knot diagrams the
+    value at 1 is a unit; garbage codes make no such promise.
     """
     if g.kind != "link" or len(g.edges) != 1:
         raise StructureError("the Alexander polynomial applies to knot codes")
@@ -135,17 +151,72 @@ def alexander_polynomial(g: SpatialGraphCode) -> LaurentPoly:
     kept = _eliminate_units(rows, m)
     if not kept:
         return one
+    return _minor_det(kept).normalized()
+
+
+def _minor_det(kept: list[tuple]) -> LaurentPoly:
+    """The determinant, up to a unit +-t^k, of the Fox matrix of `kept`
+    rows (in class, over class, out class, sign), each negative row
+    multiplied by t, less the column of the class numbered last.
+
+    Entries of rows that meet one class twice add up. Up to order
+    `_INT_DET_MAX_ORDER` the minor is evaluated at t = x = 2^B: a positive
+    row holds x, 1 - x and -1, a negative one 1, x - 1 and -x, and one
+    `bareiss_det` over the ints gives Delta(x). B comes from a bound. On
+    the unit circle |a_ij(z)| <= n_ij, the sum of the absolute values of
+    the entry's two coefficients, so by Hadamard's inequality
+    |Delta(z)| <= sqrt(prod_i sum_j n_ij^2) < H = isqrt(prod_i sum_j n_ij^2)
+    + 1, and each coefficient of Delta, an average of Delta over the circle,
+    is below H too. With B = bits(H) + 1 every coefficient lies in
+    [-2^(B-1), 2^(B-1)), so the balanced base-2^B digits of Delta(x) are
+    its coefficients (`_balanced_digits`). The argument uses the matrix
+    only, so it holds for virtual codes too. Larger minors are taken by
+    `bareiss_det` over LaurentPoly.
+    """
     column: dict[int, int] = {}  # class -> column of the smaller matrix
     sparse = []
-    for *arcs, sign in kept:
-        row: dict[int, LaurentPoly] = {}
-        for c, entry in zip(arcs, _FOX_ENTRIES[sign]):
+    for *classes, sign in kept:
+        row: dict[int, tuple[int, int]] = {}
+        for c, (c0, c1) in zip(classes, _FOX_ENTRIES[sign]):
             k = column.setdefault(c, len(column))
-            row[k] = row[k] + entry if k in row else entry
+            a0, a1 = row.get(k, (0, 0))
+            row[k] = (a0 + c0, a1 + c1)
         sparse.append(row)
-    zero = LaurentPoly()
-    matrix = [[row.get(k, zero) for k in range(len(kept))] for row in sparse]
-    return bareiss_det(matrix, one).normalized()
+    r = len(kept)
+    for row in sparse:
+        row.pop(r, None)  # the column of the class numbered last
+
+    def dense(entry, zero) -> list[list]:
+        return [[entry(row[k]) if k in row else zero for k in range(r)] for row in sparse]
+
+    if r > _INT_DET_MAX_ORDER:
+        # one polynomial per distinct entry, not one per slot of the minor
+        polys = {pair: LaurentPoly.from_dict({0: pair[0], 1: pair[1]})
+                 for pair in {pair for row in sparse for pair in row.values()}}
+        return bareiss_det(dense(polys.__getitem__, LaurentPoly()), LaurentPoly.constant(1))
+    bound = math.isqrt(math.prod(sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
+                                 for row in sparse)) + 1
+    bits = bound.bit_length() + 1
+    det = bareiss_det(dense(lambda pair: pair[0] + (pair[1] << bits), 0))
+    return LaurentPoly.from_dict(_balanced_digits(det, bits))
+
+
+def _balanced_digits(value: int, bits: int) -> dict[int, int]:
+    """{k: d_k} with value = sum d_k 2^(bits k), each d_k nonzero and in
+    [-2^(bits-1), 2^(bits-1)): the balanced base-2^bits digits of value."""
+    digits = {}
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    k = 0
+    while value:
+        digit = value & mask
+        value >>= bits
+        if digit >= half:  # carry 1 into the next digit
+            digit -= 1 << bits
+            value += 1
+        if digit:
+            digits[k] = digit
+        k += 1
+    return digits
 
 
 def _eliminate_units(rows: list[tuple[int, int, int, int]], m: int) -> list[tuple]:

@@ -16,6 +16,11 @@ minor (`fox_oracle.py`, `det_oracle.py`) on any one-circle code, virtual
 ones included, and on braid closures padded with cancelling pairs and kinks,
 with any one column of the minor left out. `fox_oracle.reducible` checks
 that the eliminations stop only when no unit pivot is left.
+
+A third checks the determinant of the reduced minor, taken over the ints at
+t = 2^B up to order `_INT_DET_MAX_ORDER`: it must equal `bareiss_det` over
+LaurentPoly of the same rows, and the balanced digits must decode every
+coefficient the bound allows.
 """
 
 from unittest import mock
@@ -28,9 +33,15 @@ from sympy.polys.matrices import DomainMatrix
 from det_oracle import dense_bareiss_det
 from fox_oracle import fox_minor, fox_rows, reducible
 from hkdiag import wirtinger
-from hkdiag.homology import LaurentPoly
+from hkdiag.homology import LaurentPoly, bareiss_det
 from hkdiag.spatial import Crossing, EdgeCode, Pass, SpatialGraphCode, closed_braid
-from hkdiag.wirtinger import _eliminate_units, alexander_polynomial
+from hkdiag.wirtinger import (
+    _INT_DET_MAX_ORDER,
+    _balanced_digits,
+    _eliminate_units,
+    _minor_det,
+    alexander_polynomial,
+)
 
 T = sympy.Symbol("t")
 RING = sympy.ZZ[T]
@@ -270,3 +281,114 @@ def test_a_staircase_of_nested_kinks_reduces_fully():
     rows = [(k, k + 2, k + 1, (-1) ** k) for k in range(39)] + [(39, 40, 40, 1)]
     assert reducible(rows)
     assert _eliminate_units(rows, 41) == []
+
+
+# --- the reduced minor's determinant at t = 2^B ---------------------------------
+
+
+def laurent_minor(kept):
+    """The Fox minor of reduced rows (in class, over class, out class,
+    sign) over LaurentPoly, t^-1 left in negative rows: entries of a row
+    that meets one class twice add up, classes are numbered in the order
+    the rows meet them, and the column of the one numbered last goes."""
+    one, zero = LaurentPoly.constant(1), LaurentPoly()
+    column = {}
+    for row in kept:
+        for c in row[:3]:
+            column.setdefault(c, len(column))
+    minor = []
+    for a, over, b, s in kept:
+        t = LaurentPoly.t(s)
+        row = [zero] * len(column)
+        for c, entry in ((a, t), (over, one - t), (b, -one)):
+            row[column[c]] = row[column[c]] + entry
+        minor.append(row[: len(kept)])
+    return minor
+
+
+def laurent_det(kept) -> LaurentPoly:
+    return bareiss_det(laurent_minor(kept), ONE).normalized()
+
+
+def reduced_rows(g):
+    m, rows = fox_rows(g)
+    return _eliminate_units(rows, m)
+
+
+@st.composite
+def digit_vectors(draw):
+    """(H, coefficients): a bound H, often a power of two or one less, and
+    coefficients in [-H, H] whose first and last are often -H or H."""
+    bound = draw(st.one_of(st.integers(1, 2 ** 80), st.integers(0, 80).map(lambda k: 2 ** k),
+                           st.integers(1, 80).map(lambda k: 2 ** k - 1)))
+    inner = st.integers(-bound, bound)
+    end = st.one_of(st.sampled_from((-bound, bound)), inner)
+    return bound, [draw(end), *draw(st.lists(inner, max_size=10)), draw(end)]
+
+
+@seed(20266)
+@settings(max_examples=300, deadline=None)
+@given(digit_vectors())
+def test_balanced_digits_decode_every_coefficient_within_the_bound(case):
+    bound, coeffs = case
+    bits = bound.bit_length() + 1
+    value = sum(c << (bits * k) for k, c in enumerate(coeffs))
+    assert _balanced_digits(value, bits) == {k: c for k, c in enumerate(coeffs) if c}
+
+
+# T(2,n) is a knot for odd n, and nothing of its minor of order n - 1 reduces
+BELOW = _INT_DET_MAX_ORDER + 1 - _INT_DET_MAX_ORDER % 2
+
+
+@pytest.mark.parametrize("n, ring", [(BELOW, int), (BELOW + 2, LaurentPoly)])
+def test_the_order_picks_the_ring_and_both_give_the_laurent_determinant(n, ring):
+    g = closed_braid([(1, 1)] * n, 2)
+    with mock.patch.object(wirtinger, "bareiss_det", wraps=wirtinger.bareiss_det) as det:
+        value = alexander_polynomial(g)
+    (call,) = det.call_args_list
+    assert len(call.args[0]) == n - 1
+    assert all(type(x) is ring for row in call.args[0] for x in row)
+    assert value == laurent_det(reduced_rows(g))
+    assert value == LaurentPoly.from_dict({e: (-1) ** e for e in range(n)})
+
+
+@seed(20267)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(gauss_codes(), padded_braids().map(lambda closures: closures[1])))
+def test_the_integer_determinant_matches_the_laurent_one_on_the_same_rows(g):
+    """Padded braid closures reach the determinant with classes that the
+    eliminations merged."""
+    assert alexander_polynomial(g) == laurent_det(reduced_rows(g))
+
+
+@st.composite
+def class_rows(draw):
+    """r <= 12 rows (in class, over class, out class, sign) over the classes
+    0..r, any of a row's three classes possibly equal, so entries add up
+    and a row's sum of squared norms reaches 8 (in = out) or drops."""
+    r = draw(st.integers(1, 12))
+    cls = st.integers(0, r)
+    return [(draw(cls), draw(cls), draw(cls), draw(st.sampled_from((1, -1)))) for _ in range(r)]
+
+
+@seed(20268)
+@settings(max_examples=200, deadline=None)
+@given(class_rows())
+def test_rows_that_meet_one_class_twice_keep_the_bound(kept):
+    """No row left by the eliminations meets one class twice, so these rows
+    are built by hand: both rings must give the Laurent determinant."""
+    expected = laurent_det(kept)
+    assert _minor_det(kept).normalized() == expected
+    with mock.patch.object(wirtinger, "_INT_DET_MAX_ORDER", 0):
+        assert _minor_det(kept).normalized() == expected
+
+
+def test_rows_whose_in_and_out_classes_merged():
+    """Row 0 runs from class 0 back into class 0, so its in and out entries
+    add up to t - 1. By cofactors along the column of class 2 the minor is
+    (1 - t^-1)(1 - t), -t^-1 (t - 1)^2."""
+    kept = [(0, 1, 0, 1), (0, 2, 1, -1), (1, 0, 3, 1)]
+    expected = LaurentPoly.from_dict({0: 1, 1: -2, 2: 1})
+    assert laurent_det(kept) == _minor_det(kept).normalized() == expected
+    with mock.patch.object(wirtinger, "_INT_DET_MAX_ORDER", 0):
+        assert _minor_det(kept).normalized() == expected

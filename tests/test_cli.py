@@ -1166,11 +1166,14 @@ class OneShotTests(unittest.TestCase):
     prints what an in-process call prints."""
 
     @staticmethod
-    def python(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    def python(*args: str, check: bool = True, **streams) -> subprocess.CompletedProcess:
+        """Run the interpreter on this checkout's package, capturing stdout
+        and stderr unless `streams` says where they go."""
         src = str(Path(hkdiag.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), check=check)
+        return subprocess.run([sys.executable, *args], text=True, check=check,
+                              env=dict(os.environ, PYTHONPATH=path),
+                              **(streams or {"capture_output": True}))
 
     def one_shot(self, *argv: str) -> tuple[int, str, str]:
         """Exit code, stdout and stderr of `python -m hkdiag.cli argv`, checked
@@ -1198,6 +1201,19 @@ class OneShotTests(unittest.TestCase):
         out = self.python("-m", "hkdiag.cli", "enumerate", "--labels", "--format", "json").stdout
         self.assertEqual(hashlib.sha256(out.encode()).hexdigest(),
                          OncePerProcessTests.OUTPUT_SHA256["enumerate --labels json"])
+
+    def test_a_reader_that_leaves_early_gives_141_and_no_traceback(self):
+        """Output larger than a pipe's buffer fails in a write, smaller
+        output in the last flush; both are a closed pipe, not a crash."""
+        for argv in (["enumerate", "--labels", "--format", "json"], ["enumerate"]):
+            read, write = os.pipe()
+            os.close(read)  # the reader is gone before the first byte
+            try:
+                proc = self.python("-m", "hkdiag.cli", *argv, check=False,
+                                   stdout=write, stderr=subprocess.PIPE)
+            finally:
+                os.close(write)
+            self.assertEqual((proc.returncode, proc.stderr), (141, ""), argv)
 
     def test_one_shot_exit_codes_match_in_process(self):
         with tempfile.TemporaryDirectory() as tmp:

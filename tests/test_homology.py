@@ -162,17 +162,31 @@ def test_subgroup_index(classes, expected):
         (lambda: LaurentPoly.constant(1.5), TypeError),
         (lambda: LaurentPoly.t(2.0), TypeError),
         (lambda: LaurentPoly.t(1, 0.5), TypeError),
+        (lambda: bareiss_det([[2, 1], [1, 2]], one=1.0), TypeError),
+        (lambda: LaurentPoly(((0, 1.5), (2.0, 2))), TypeError),
+        (lambda: LaurentPoly.t(1) * LaurentPoly(((0.5, 2),)), TypeError),
+        (lambda: LaurentPoly([(0, 1)]), TypeError),
+        (lambda: LaurentPoly(((0, 1, 2),)), TypeError),
+        (lambda: LaurentPoly(((2, 1), (0, 1))), ValueError),
+        (lambda: LaurentPoly(((1, 1), (1, 2))), ValueError),
+        (lambda: LaurentPoly(((0, 0),)), ValueError),
     ],
     ids=["float-entry", "str-entry", "float-classes", "float-rank", "float-factors",
          "no-classes", "ragged-classes", "ragged-after-empty", "float-det-2x2",
          "float-det-3x3", "float-zero-det", "float-laurent-terms", "float-laurent-constant",
-         "float-laurent-exponent", "float-laurent-coefficient"],
+         "float-laurent-exponent", "float-laurent-coefficient", "float-det-unit",
+         "float-laurent-init", "float-laurent-factor", "list-laurent-init",
+         "triple-laurent-term", "unsorted-laurent-init", "repeated-laurent-exponent",
+         "zero-laurent-coefficient"],
 )
 def test_bad_values_are_refused_where_built(build, error):
     """A float or a string is refused where the value is built, not rounded,
     and so are an empty or ragged set of classes. A determinant of floats is
     refused, not computed with inexact division (it read 1.0 and 2.0 for
-    1.5 and 3)."""
+    1.5 and 3), and so is a float unit (3.0 for 3). LaurentPoly's own
+    constructor refuses what its sorted sparse form cannot hold: non-int
+    terms, and exponents out of order or repeated, or a zero coefficient
+    (which printed as "1 + t^2" and as a truthy "-0")."""
     with pytest.raises(error):
         build()
 
@@ -271,6 +285,17 @@ def test_laurent_truthiness():
 @given(laurent_polys(), laurent_polys(nonzero=True))
 def test_laurent_exact_division_undoes_multiplication(p, q):
     assert (p * q) // q == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_polys(), laurent_polys(nonzero=True))
+def test_laurent_arithmetic_builds_what_the_constructor_accepts(p, q):
+    """Arithmetic builds its results without the constructor's check, so
+    each must pass it."""
+    monomial = LaurentPoly(q.terms[:1])
+    for value in (p + q, p - q, p * q, -p, p.normalized(), (p * q) // q,
+                  (p * monomial) // monomial):
+        assert LaurentPoly(value.terms) == value
 
 
 @settings(max_examples=200, deadline=None)
