@@ -10,6 +10,14 @@ nothing on stderr.
 A graph code with a structural defect is malformed input: every command exits
 2 with its line; analyze's JSON keeps an always-empty "violations" key.
 
+Every reply that reports facts (enumerate and the file commands) is one
+_Report per input, and each fact goes into it by one call, put(key, value,
+*lines): it sets the JSON member key and appends the text lines that show
+it, so the two formats report the same facts in the same order. Text-only
+words (edge and crossing counts, class descriptions, notes, yes/no/unknown)
+stay in the lines of their fact's put. The one exception is analyze's facts:
+text lists them before the class, JSON after "bridge".
+
 Two functions own the mapping from errors to exit codes. _run_per_file runs
 the file commands (validate, classify, symmetry, linking, analyze) and
 reports a malformed file as "path: message" and a contradiction as
@@ -49,23 +57,30 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 _BOOL_FACTS = ("atoroidal", "planar", "split")
 _EDGE_FACTS = ("tunnel", "knotting-arc")
+_YES_NO = {True: "yes", False: "no", None: "unknown"}
 
 
-class _FileReport:
-    """Collected output for one input file."""
+class _Report:
+    """One reply: its JSON members in data, its text lines in lines.
 
-    def __init__(self, path: str):
+    A per-file reply starts with the member "file"; enumerate's has none."""
+
+    def __init__(self, path: str | None = None):
         self.path = path
         self.lines: list[str] = []
-        self.data: dict = {"file": path}
+        self.data: dict = {} if path is None else {"file": path}
         self.code = EXIT_OK
 
-    def say(self, line: str) -> None:
-        self.lines.append(line)
+    def put(self, key: str | None, value, *lines: str) -> None:
+        """Set the JSON member key to value and append the text lines that
+        show it; a key of None appends the lines only."""
+        if key is not None:
+            self.data[key] = value
+        self.lines.extend(lines)
 
     def fail(self, code: int, message: str) -> None:
         self.code = max(self.code, code)
-        self.say(message)
+        self.lines.append(message)
         self.data.setdefault("errors", []).append(message)
 
 
@@ -141,7 +156,7 @@ def _json_container(o, head: str, indent: str, pieces: list[str], scalars: dict)
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _emit(reports: list[_FileReport], fmt: str) -> int:
+def _emit(reports: list[_Report], fmt: str) -> int:
     if fmt == "json":
         payload = [r.data for r in reports]
         print(_json_text(payload[0] if len(payload) == 1 else payload))
@@ -157,7 +172,7 @@ def _run_per_file(paths, work, fmt: str) -> int:
     """Fill one report per file with work(report) and print them all."""
     reports = []
     for path in paths:
-        report = _FileReport(path)
+        report = _Report(path)
         try:
             work(report)
         except StructureError as err:
@@ -172,17 +187,15 @@ def _run_per_file(paths, work, fmt: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    report = _FileReport("enumerate")
-    del report.data["file"]
+    report = _Report()
+    rows, lines = [], []
     if args.labels:
         if args.drop_bigon_rule:
             raise StructureError("--drop-bigon-rule applies to the diagram classes, not to --labels")
         from . import labeling
 
         entries = labeling.label_catalog()
-        report.data["count"] = len(entries)
-        rows = []
-        report.say(f"{len(entries)} labeled diagrams")
+        report.put("count", len(entries), f"{len(entries)} labeled diagrams")
         for entry in entries:
             dtype = str(entry.dtype)
             rows.append({
@@ -193,73 +206,63 @@ def _cmd_enumerate(args) -> int:
                 "diagram": labeling.annulus_to_json_dict(entry.diagram),
             })
             marker = " *" if entry.constrained else ""
-            report.say(f"  {dtype} {{{', '.join(entry.kinds)}}}{marker}")
-        report.data["entries"] = rows
-        report.say("entries marked * carry a symmetry bound")
+            lines.append(f"  {dtype} {{{', '.join(entry.kinds)}}}{marker}")
+        report.put("entries", rows, *lines, "entries marked * carry a symmetry bound")
     else:
         from . import diagram
 
         diagrams = diagram.enumerate_valid(single_bigon_rule=not args.drop_bigon_rule)
-        report.data["count"] = len(diagrams)
-        report.data["diagrams"] = []
-        report.say(f"{len(diagrams)} diagram classes")
+        report.put("count", len(diagrams), f"{len(diagrams)} diagram classes")
         for d in diagrams:
             t = diagram.classify_type(d)
             status = diagram.realization_status(t)
-            report.data["diagrams"].append(
-                {"type": str(t), "realization": status, "diagram": diagram.diagram_to_json_dict(d)}
-            )
-            report.say(f"  {t} realization={status}")
+            rows.append({"type": str(t), "realization": status,
+                         "diagram": diagram.diagram_to_json_dict(d)})
+            lines.append(f"  {t} realization={status}")
+        report.put("diagrams", rows, *lines)
     return _emit([report], args.format)
 
 
 # --- validate / classify / symmetry ----------------------------------------------
 
 
-def _checked(report: _FileReport, ad):
+def _checked(report: _Report, ad):
     """ad, or None after reporting its rule violations."""
     problems = ad.violations
-    report.data["violations"] = [
-        {"code": v.code, "message": v.message} for v in problems
-    ]
+    report.put("violations", [{"code": v.code, "message": v.message} for v in problems],
+               *(f"{report.path}: violation [{v.code}] {v.message}" for v in problems))
     if problems:
         report.code = max(report.code, EXIT_VIOLATION)
-        for v in problems:
-            report.say(f"{report.path}: violation [{v.code}] {v.message}")
         return None
     return ad
 
 
-def _validate_worker(report: _FileReport) -> None:
+def _validate_worker(report: _Report) -> None:
     from . import diagram, labeling
 
     ad = _checked(report, labeling.parse_annulus(_read(report.path)))
     if ad is not None:
         t = diagram.classify_type(ad.base)
-        report.data["type"] = str(t)
-        report.say(f"{report.path}: ok, type {t}")
+        report.put("type", str(t), f"{report.path}: ok, type {t}")
 
 
-def _classify_worker(report: _FileReport) -> None:
+def _classify_worker(report: _Report) -> None:
     from . import diagram, labeling
 
     ad = _checked(report, labeling.parse_annulus(_read(report.path)))
     if ad is None:
         return
     t = diagram.classify_type(ad.base)
-    report.data["type"] = str(t)
-    report.data["realization"] = diagram.realization_status(t)
-    report.say(f"{report.path}: type {t}")
-    report.say(f"realization: {diagram.realization_status(t)}")
+    status = diagram.realization_status(t)
+    report.put("type", str(t), f"{report.path}: type {t}")
+    report.put("realization", status, f"realization: {status}")
     facts = labeling.derived_facts(ad)
-    report.data["facts"] = [
-        {"code": f.code, "text": f.text, "provenance": f.provenance} for f in facts
-    ]
-    for f in facts:
-        report.say(f"  [{f.provenance}] {f.text}")
+    report.put("facts",
+               [{"code": f.code, "text": f.text, "provenance": f.provenance} for f in facts],
+               *(f"  [{f.provenance}] {f.text}" for f in facts))
 
 
-def _symmetry_worker(report: _FileReport) -> None:
+def _symmetry_worker(report: _Report) -> None:
     from . import labeling
 
     ad = _checked(report, labeling.parse_annulus(_read(report.path)))
@@ -267,18 +270,12 @@ def _symmetry_worker(report: _FileReport) -> None:
         return
     bounds = labeling.symmetry_bounds(ad)
     if bounds is None:
-        report.data["bounds"] = None
-        report.say(f"{report.path}: no bound derived")
+        report.put("bounds", None, f"{report.path}: no bound derived")
         return
-    report.data["bounds"] = {
-        "sym_plus": bounds.sym_plus.value,
-        "sym": bounds.sym.value,
-        "exact": bounds.exact,
-    }
-    report.say(f"{report.path}:")
-    report.say(f"  sym+ {bounds.sym_plus.value}")
-    report.say(f"  sym  {bounds.sym.value}")
-    report.say(f"  exact: {'yes' if bounds.exact else 'no'}")
+    plus, full = bounds.sym_plus.value, bounds.sym.value
+    report.put("bounds", {"sym_plus": plus, "sym": full, "exact": bounds.exact},
+               f"{report.path}:", f"  sym+ {plus}", f"  sym  {full}",
+               f"  exact: {_YES_NO[bounds.exact]}")
 
 
 # --- loop / family ----------------------------------------------------------------
@@ -340,7 +337,7 @@ def _cmd_family(args) -> int:
 # --- linking ----------------------------------------------------------------------
 
 
-def _linking(report: _FileReport, components: str) -> None:
+def _linking(report: _Report, components: str) -> None:
     from . import spatial
 
     g = spatial.parse_code(_read(report.path))
@@ -353,11 +350,9 @@ def _linking(report: _FileReport, components: str) -> None:
         return
     (link,) = spatial.constituent_links(g)  # a link code is its own constituent
     lk = spatial.linking_number(link, names[0], names[1])
-    report.data["linking_number"] = lk
+    report.put("linking_number", lk, f"lk({names[0]}, {names[1]}) = {lk}")
     ok = spatial.type_three_two_linking_test(lk)
-    report.data["mixed_type_annulus_possible"] = ok
-    report.say(f"lk({names[0]}, {names[1]}) = {lk}")
-    report.say("mixed-type annulus obstruction: "
+    report.put("mixed_type_annulus_possible", ok, "mixed-type annulus obstruction: "
                + ("satisfied" if ok else "violated (linking number is a unit)"))
 
 
@@ -382,19 +377,19 @@ def _parse_assertion(token: str, facts) -> None:
         facts.set(f"knot-trivial:{value}", key == "trivial-knot")
 
 
-def _analyze(report: _FileReport, assertions: list[str]) -> None:
+def _analyze(report: _Report, assertions: list[str]) -> None:
     from . import diagram, spatial, wirtinger
 
     g = spatial.parse_code(_read(report.path))
-    report.data["kind"] = g.kind
-    report.say(f"file: {report.path}")
-    report.say(f"kind: {g.kind}, {len(g.edges)} edges, {len(g.crossings)} crossings")
+    report.put(None, None, f"file: {report.path}")  # the text of the report's first member
+    report.put("kind", g.kind,
+               f"kind: {g.kind}, {len(g.edges)} edges, {len(g.crossings)} crossings")
     if g.provenance is not None:
         items = g.provenance.meta_items()
-        report.data["provenance"] = dict(items)
-        report.say("provenance: " + " ".join(f"{k}={v}" for k, v in items))
+        report.put("provenance", dict(items),
+                   "provenance: " + " ".join(f"{k}={v}" for k, v in items))
 
-    report.data["violations"] = []  # parse_code refuses violations; kept for scripts
+    report.put("violations", [])  # parse_code refuses violations; kept for scripts
 
     facts = spatial.FactSet()
     for token in assertions:
@@ -403,60 +398,53 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
     # a failed certificate is reported before the header
     invariants = wirtinger.constituent_invariants(g)
     wirtinger.attach_evidence(g, facts, invariants)
-    report.say("constituents:")
     # a constituent link lists its linking numbers, not its components' knots
     knots, links = invariants
-    constituents = []
+    constituents, lines = [], ["constituents:"]
     if links:
         for (a, b), lk in links.items():
             constituents.append({"components": [a, b], "linking_number": lk})
-            report.say(f"  link {{{a}, {b}}}: lk = {lk}")
+            lines.append(f"  link {{{a}, {b}}}: lk = {lk}")
     else:
         for name, delta in knots.items():
             constituents.append({"component": name, "alexander": str(delta)})
-            report.say(f"  knot {name}: alexander {delta}")
-    report.data["constituents"] = constituents
+            lines.append(f"  knot {name}: alexander {delta}")
+    report.put("constituents", constituents, *lines)
 
     group, meridians = wirtinger.h1_complement(g)
-    report.data["homology"] = {
-        "group": str(group),
-        "meridians": {eid: list(coords) for eid, coords in meridians.items()},
-    }
-    report.say(f"homology of the complement: {group}")
-    for eid, coords in meridians.items():
-        report.say(f"  meridian {eid} -> {coords}")
+    report.put("homology",
+               {"group": str(group), "meridians": {eid: list(c) for eid, c in meridians.items()}},
+               f"homology of the complement: {group}",
+               *(f"  meridian {eid} -> {coords}" for eid, coords in meridians.items()))
 
+    # The facts are the one member written twice: text lists them here,
+    # before the class, and JSON after "bridge", where the class has been
+    # decided; the two outputs keep their own order.
     if facts.entries():
-        report.say("facts:")
-        for entry in facts.entries():
-            report.say(f"  [{entry.provenance}] {entry.key} = {entry.value}")
+        report.put(None, None, "facts:", *(f"  [{e.provenance}] {e.key} = {e.value}"
+                                           for e in facts.entries()))
 
     if g.kind in ("theta", "handcuff"):
         classification = spatial.classify_atoroidal(g, facts)
         if isinstance(classification, spatial.GraphClass):
-            report.data["class"] = classification.code
-            report.say(f"class: {classification.code} ({classification.description})")
+            report.put("class", classification.code,
+                       f"class: {classification.code} ({classification.description})")
             transition = spatial.looping_transition(classification)
-            targets = " or ".join(t.code for t in transition.targets)
-            report.data["looping_targets"] = [t.code for t in transition.targets]
-            report.say(f"looping lands in: {targets}")
-            if transition.note:
-                report.say(f"  note: {transition.note}")
+            targets = [t.code for t in transition.targets]
+            report.put("looping_targets", targets, f"looping lands in: {' or '.join(targets)}",
+                       *([f"  note: {transition.note}"] if transition.note else []))
         else:
             assert isinstance(classification, spatial.Unclassified)
-            report.data["class"] = None
-            report.data["unclassified"] = {
+            report.put("class", None)
+            report.put("unclassified", {
                 "reason": classification.reason,
                 "needed": list(classification.needed),
-            }
-            report.say(f"unclassified: {classification.reason}")
+            }, f"unclassified: {classification.reason}")
         if g.kind == "handcuff":
-            report.data["bridge"] = spatial.bridge_of(g).id
+            report.put("bridge", spatial.bridge_of(g).id)
 
-    report.data["facts"] = [
-        {"key": e.key, "value": e.value, "provenance": e.provenance}
-        for e in facts.entries()
-    ]
+    report.put("facts", [{"key": e.key, "value": e.value, "provenance": e.provenance}
+                         for e in facts.entries()])
 
     if g.provenance is not None and g.provenance.origin == "looping":
         prediction = spatial.predicted_annulus(g, facts)
@@ -474,21 +462,14 @@ def _analyze(report: _FileReport, assertions: list[str]) -> None:
             "diagram": summary,
             "notes": list(prediction.notes),
         }
-        report.data["prediction"] = pdata
-        report.say("ring annulus prediction:")
-        report.say(f"  type: {prediction.annulus_type}, count: {prediction.annulus_count}")
-
-        def show(flag):
-            return {True: "yes", False: "no", None: "unknown"}[flag]
-
-        report.say(f"  unknotting: {show(prediction.unknotting)}")
-        report.say("  exterior irreducible and atoroidal: "
-                   f"{show(prediction.exterior_irreducible_atoroidal)}")
-        report.say(f"  unique of its type: {show(prediction.unique)}")
-        if summary is not None:
-            report.say(f"  diagram: {summary}")
-        for note in prediction.notes:
-            report.say(f"  note: {note}")
+        report.put("prediction", pdata, "ring annulus prediction:",
+                   f"  type: {prediction.annulus_type}, count: {prediction.annulus_count}",
+                   f"  unknotting: {_YES_NO[prediction.unknotting]}",
+                   "  exterior irreducible and atoroidal: "
+                   f"{_YES_NO[prediction.exterior_irreducible_atoroidal]}",
+                   f"  unique of its type: {_YES_NO[prediction.unique]}",
+                   *([f"  diagram: {summary}"] if summary is not None else []),
+                   *(f"  note: {note}" for note in prediction.notes))
 
 
 # --- parser -----------------------------------------------------------------------
@@ -515,23 +496,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="skip the single-bigon exclusion to see what it removes")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check diagram files against the constraints")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=lambda args: _run_per_file(
-        args.files, _validate_worker, args.format))
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="type, realization and derived facts of diagrams")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=lambda args: _run_per_file(
-        args.files, _classify_worker, args.format))
-
-    p = sub.add_parser("symmetry", parents=[common],
-                       help="symmetry-group bounds from the label table")
-    p.add_argument("files", nargs="+")
-    p.set_defaults(func=lambda args: _run_per_file(
-        args.files, _symmetry_worker, args.format))
+    for name, text in (("validate", "check diagram files against the constraints"),
+                       ("classify", "type, realization and derived facts of diagrams"),
+                       ("symmetry", "symmetry-group bounds from the label table")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("files", nargs="+")
+        # the worker is looked up when the command runs, so that it can be patched
+        p.set_defaults(func=lambda args: _run_per_file(
+            args.files, globals()[f"_{args.command}_worker"], args.format))
 
     p = sub.add_parser("loop", parents=[common],
                        help="loop a graph code at a vertex")

@@ -370,9 +370,6 @@ class Fact:
     text: str
     provenance: str = "rule"
 
-    def __str__(self) -> str:
-        return f"{self.text} [{self.provenance}]"
-
 
 def derived_facts(ad: AnnulusDiagram) -> list[Fact]:
     """Everything the rule base can read off a valid (possibly unlabeled) diagram."""

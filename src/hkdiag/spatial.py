@@ -713,9 +713,6 @@ class GraphClass:
     def description(self) -> str:
         return _CLASS_DESCRIPTIONS[self.code]
 
-    def __str__(self) -> str:
-        return self.code
-
 
 @dataclass(frozen=True)
 class Unclassified:

@@ -333,9 +333,15 @@ class BuilderTests(unittest.TestCase):
         self.assertIn("graph handcuff", json.loads(out)["code"])
 
     def test_family_needs_n(self):
-        code, _, err = run(["family", "torus-link"])
-        self.assertEqual(code, 2)
-        self.assertIn("needs --n", err)
+        for name in ("odd-ringed", "torus-link"):
+            self.assertEqual(run(["family", name]), (2, "", f"error: {name} needs --n\n"))
+
+    def test_mirrored_spine(self):
+        spine = spatial.parse_code(
+            resources.files("hkdiag").joinpath("data", "spine_5_2.txt").read_text())
+        code, out, err = run(["family", "spine-5-2", "--mirror"])
+        self.assertEqual((code, out, err), (0, format_code(spatial.mirror_code(spine)), ""))
+        self.assertTrue(out.endswith("\nmeta origin=family family=spine-5-2 mirror=true\n"), out)
 
     def test_family_rejects_small_n(self):
         code, _, _ = run(["family", "torus-link", "--n", "1"])
@@ -1102,6 +1108,183 @@ class AnalyzeOutputTests(unittest.TestCase):
         for name, (code, digest) in self.digests().items():
             self.assertEqual(code, 0, name)
             self.assertEqual(digest, self.OUTPUT_SHA256[name], name)
+
+
+class SpineEditTests(unittest.TestCase):
+    """One-line edits of the spine's code that parse_code refuses at their
+    line: analyze exits 2 and prints that line's message alone."""
+
+    EDITS = {  # line number: (new line, message)
+        12: ("pass ka x1 under sign=-", "crossing x1 has conflicting signs"),
+        19: ("meta family=spine-5-2", "meta needs an origin"),
+    }
+
+    def analyze_edit(self, lineno: int, line: str) -> tuple[int, str, str]:
+        code, spine, _ = run(["family", "spine-5-2"])
+        self.assertEqual(code, 0)
+        lines = spine.splitlines()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spine.txt"
+            path.write_text("\n".join([*lines[:lineno - 1], line, *lines[lineno:]]) + "\n")
+            code, out, err = run(["analyze", str(path)])
+            return code, out.replace(str(path), "path"), err
+
+    def test_conflicting_signs_and_a_meta_without_origin(self):
+        for lineno, (line, message) in self.EDITS.items():
+            self.assertEqual(self.analyze_edit(lineno, line),
+                             (2, f"path: line {lineno}: {message}\n", ""))
+
+    def test_unknown_meta_key(self):
+        self.assertEqual(
+            self.analyze_edit(19, "meta origin=family family=spine-5-2 colour=red"),
+            (2, "path: line 19: unknown meta key 'colour'\n", ""))
+
+
+class WholeReplyTests(unittest.TestCase):
+    """Whole replies, text and JSON, on the paths the digests above do not
+    reach: rule violations, a malformed file among good ones, and both
+    wordings of the linking obstruction. The temporary directory is written
+    as <tmp>."""
+
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(self.tmp.cleanup)
+
+    def reply(self, *argv: str) -> tuple[int, str, str]:
+        code, out, err = run(list(argv))
+        return code, out.replace(self.tmp.name, "<tmp>"), err
+
+    def write(self, name: str, text: str) -> str:
+        path = Path(self.tmp.name) / name
+        path.write_text(text)
+        return str(path)
+
+    def family(self, name: str, *argv: str) -> str:
+        path = str(Path(self.tmp.name) / name)
+        self.assertEqual(run(["family", *argv, "-o", path])[0], 0)
+        return path
+
+    def test_violating_annulus_file(self):
+        bad = self.write("bad.txt", BAD_LABELS)
+        for command in ("validate", "classify", "symmetry"):
+            with self.subTest(command=command):
+                self.assertEqual(self.reply(command, bad), (
+                    1, "<tmp>/bad.txt: violation [R1] non-cut edge v-v cannot carry em\n", ""))
+                self.assertEqual(self.reply(command, bad, "--format", "json"), (1, (
+                    '{\n'
+                    '  "file": "<tmp>/bad.txt",\n'
+                    '  "violations": [\n'
+                    '    {\n'
+                    '      "code": "R1",\n'
+                    '      "message": "non-cut edge v-v cannot carry em"\n'
+                    '    }\n'
+                    '  ]\n'
+                    '}\n'), ""))
+
+    def test_analyze_of_a_good_and_a_malformed_file(self):
+        theta = self.family("theta.txt", "torus-link", "--n", "3", "--tunnel")
+        broken = self.write("broken.txt", "graph link\nedge k\npass k x1 over sign=+\n")
+        self.assertEqual(self.reply("analyze", theta, broken), (2, (
+            "file: <tmp>/theta.txt\n"
+            "kind: theta, 3 edges, 3 crossings\n"
+            "provenance: origin=family family=torus-link n=3 variant=tunnel\n"
+            "constituents:\n"
+            "  knot ka+kb: alexander t^2 - t + 1\n"
+            "  knot ka+t: alexander 1\n"
+            "  knot kb+t: alexander 1\n"
+            "homology of the complement: Z^2\n"
+            "  meridian ka -> (1, -1)\n"
+            "  meridian kb -> (1, 0)\n"
+            "  meridian t -> (0, 1)\n"
+            "facts:\n"
+            "  [computed] knot-trivial:ka+kb = False\n"
+            "unclassified: the exterior must be known atoroidal\n"
+            "\n"
+            "<tmp>/broken.txt: line 3: crossing x1 needs exactly one over and one under pass\n"),
+            ""))
+        self.assertEqual(self.reply("analyze", theta, broken, "--format", "json"), (2, (
+            '[\n'
+            '  {\n'
+            '    "file": "<tmp>/theta.txt",\n'
+            '    "kind": "theta",\n'
+            '    "provenance": {\n'
+            '      "origin": "family",\n'
+            '      "family": "torus-link",\n'
+            '      "n": "3",\n'
+            '      "variant": "tunnel"\n'
+            '    },\n'
+            '    "violations": [],\n'
+            '    "constituents": [\n'
+            '      {\n'
+            '        "component": "ka+kb",\n'
+            '        "alexander": "t^2 - t + 1"\n'
+            '      },\n'
+            '      {\n'
+            '        "component": "ka+t",\n'
+            '        "alexander": "1"\n'
+            '      },\n'
+            '      {\n'
+            '        "component": "kb+t",\n'
+            '        "alexander": "1"\n'
+            '      }\n'
+            '    ],\n'
+            '    "homology": {\n'
+            '      "group": "Z^2",\n'
+            '      "meridians": {\n'
+            '        "ka": [\n'
+            '          1,\n'
+            '          -1\n'
+            '        ],\n'
+            '        "kb": [\n'
+            '          1,\n'
+            '          0\n'
+            '        ],\n'
+            '        "t": [\n'
+            '          0,\n'
+            '          1\n'
+            '        ]\n'
+            '      }\n'
+            '    },\n'
+            '    "class": null,\n'
+            '    "unclassified": {\n'
+            '      "reason": "the exterior must be known atoroidal",\n'
+            '      "needed": [\n'
+            '        "atoroidal"\n'
+            '      ]\n'
+            '    },\n'
+            '    "facts": [\n'
+            '      {\n'
+            '        "key": "knot-trivial:ka+kb",\n'
+            '        "value": false,\n'
+            '        "provenance": "computed"\n'
+            '      }\n'
+            '    ]\n'
+            '  },\n'
+            '  {\n'
+            '    "file": "<tmp>/broken.txt",\n'
+            '    "errors": [\n'
+            '      "<tmp>/broken.txt: line 3: crossing x1 needs exactly one over and one under pass"\n'
+            '    ]\n'
+            '  }\n'
+            ']\n'), ""))
+
+    def test_linking_obstruction_satisfied_and_violated(self):
+        for n, lk, words, possible in (
+                ("4", 2, "satisfied", "true"),
+                ("2", 1, "violated (linking number is a unit)", "false")):
+            with self.subTest(n=n):
+                path = self.family(f"t{n}.txt", "torus-link", "--n", n)
+                self.assertEqual(self.reply("linking", path, "--components", "a,b"), (0, (
+                    f"lk(a, b) = {lk}\n"
+                    f"mixed-type annulus obstruction: {words}\n"), ""))
+                self.assertEqual(
+                    self.reply("linking", path, "--components", "a,b", "--format", "json"),
+                    (0, (
+                        '{\n'
+                        f'  "file": "<tmp>/t{n}.txt",\n'
+                        f'  "linking_number": {lk},\n'
+                        f'  "mixed_type_annulus_possible": {possible}\n'
+                        '}\n'), ""))
 
 
 class ParserReuseTests(unittest.TestCase):
