@@ -28,15 +28,16 @@ family) and prints "error: message" (exit 2) or "rejected: message"
 main(argv) may be called repeatedly in one process: it builds its argument
 parser on the first call and reuses it for every later one.
 
-Importing this module loads no layer, only the shared errors. A JSON
-reply is written by _json_text, byte for byte what json.dumps(reply,
-indent=2) gives; json is imported only where JSON is written. Each command
-imports the layers it calls when it runs, so a one-shot command pays
-start-up only for those: enumerate imports diagram; enumerate --labels,
-validate, classify and symmetry import labeling (which loads diagram);
-loop, family and linking import spatial (which loads diagram); analyze
-imports spatial and wirtinger (which loads homology), and spatial loads
-labeling only for the ring annulus prediction of a looped code.
+Importing this module loads no layer, only the shared errors. An indented
+JSON reply (enumerate and the file commands) is written by _json_text, byte
+for byte what json.dumps(reply, indent=2) gives; loop and family print their
+one-line {"code": ...} through json.dumps. json is imported only where JSON
+is written. Each command imports the layers it calls when it runs, so a
+one-shot command pays start-up only for those: enumerate imports diagram;
+enumerate --labels, validate, classify and symmetry import labeling (which
+loads diagram); loop, family and linking import spatial (which loads
+diagram); analyze imports spatial and wirtinger (which loads homology), and
+spatial loads labeling only for the ring annulus prediction of a looped code.
 """
 
 from __future__ import annotations

@@ -326,6 +326,16 @@ class SymmetryBounds:
             raise ValueError("the full symmetry bound cannot sit below the chiral one")
 
 
+# The bounds an h2 label implies, by diagram type. Every valid h2 labeling in
+# the catalog has one of these four types, and a type does not depend on slopes.
+_H2_BOUNDS = {
+    (1, 1, 0, "hollow"): SymmetryBounds(GroupBound.TRIVIAL, GroupBound.AT_MOST_Z2, exact=False),
+    (2, 1, 0, "hollow"): SymmetryBounds(GroupBound.TRIVIAL, GroupBound.TRIVIAL, exact=True),
+    (3, 0, 3, "hollow"): SymmetryBounds(GroupBound.AT_MOST_Z2, GroupBound.AT_MOST_Z2XZ2, exact=False),
+    (3, 0, 3, "solid"): SymmetryBounds(GroupBound.EXACTLY_Z2, GroupBound.EXACTLY_Z2XZ2, exact=True),
+}
+
+
 def symmetry_bounds(ad: AnnulusDiagram) -> SymmetryBounds | None:
     """Symmetry-group bounds implied by a valid labeled diagram.
 
@@ -336,21 +346,11 @@ def symmetry_bounds(ad: AnnulusDiagram) -> SymmetryBounds | None:
     if ad.violations:
         raise ValueError(f"invalid diagram: {ad.violations[0]}")
     kinds = ad.label_kinds
-    dtype = classify_type(ad.base)
-    key = dtype.as_tuple()
     if "h1" in kinds:
         return SymmetryBounds(GroupBound.AT_MOST_Z2, GroupBound.AT_MOST_Z2XZ2, exact=False)
     if "h2" not in kinds:
         return None
-    if key == (1, 1, 0, "hollow"):
-        return SymmetryBounds(GroupBound.TRIVIAL, GroupBound.AT_MOST_Z2, exact=False)
-    if key == (2, 1, 0, "hollow"):
-        return SymmetryBounds(GroupBound.TRIVIAL, GroupBound.TRIVIAL, exact=True)
-    if key == (3, 0, 3, "hollow"):
-        return SymmetryBounds(GroupBound.AT_MOST_Z2, GroupBound.AT_MOST_Z2XZ2, exact=False)
-    if key == (3, 0, 3, "solid"):
-        return SymmetryBounds(GroupBound.EXACTLY_Z2, GroupBound.EXACTLY_Z2XZ2, exact=True)
-    return None
+    return _H2_BOUNDS[classify_type(ad.base).as_tuple()]
 
 
 def is_fourone(ad: AnnulusDiagram) -> bool:

@@ -1,5 +1,4 @@
 import argparse
-import hashlib
 import io
 import json
 import os
@@ -92,25 +91,8 @@ class EnumerateTests(unittest.TestCase):
 
 class OncePerProcessTests(unittest.TestCase):
     """The diagram classes and the label catalog are computed once per
-    process and shared; the output stays that of the uncached code."""
-
-    # sha256 of stdout, recorded before the two results were cached; the
-    # per-file commands run on the 66 catalog entries, one file each, with
-    # the temporary directory written as <tmp>
-    OUTPUT_SHA256 = {
-        "enumerate text": "24e0445fa1f63c1a1d675b689f908bcc6215a73701c5d5c9d807ffd119e2ee6f",
-        "enumerate --labels text": "12966f1c69913876e12110f1c592db7501a50ccee94bcd71a2947e3a56f24d0b",
-        "enumerate --drop-bigon-rule text": "08223016647499a225ecf5621929fcfe9b45e83dd53e8fa4646e7ff6a044a50c",
-        "validate text": "b77e8741bbb98fa8e100113054e0ae4deb4d93b5c067f52802b6f904485cbb4c",
-        "classify text": "2d7bdb91bfb10785a6dc741044f5e1f8a77ea0ceaee5c096d136140c73592ca0",
-        "symmetry text": "c2b66f713bd3b270d31e49fa82b2d7282f56ed477ca957371c9810515d59b944",
-        "enumerate json": "cb90ff6684b594bff51a10b445f6f40a1ac024ec09b9555eb474e1e7373de4b6",
-        "enumerate --labels json": "e7508d13777331c35110fb82a4f24f4573328533203c4510fff08f87596529ae",
-        "enumerate --drop-bigon-rule json": "6b4fbb46e072ba7b4760518795bb14d6bf1977ec3239b9b5949a1e562b6472ba",
-        "validate json": "38d6bc1e44d0b1f0499fa33f877998e7038980eb986406ac644f22ca1587a85e",
-        "classify json": "65f2c26fe729a9dba59af2dbfb05ae166fac6bccc7a32df103cbaaaff1004841",
-        "symmetry json": "d18d35735cf919eef21db7862497d804e54a18100656b8e8b5befee58e4b4cf6",
-    }
+    process and shared; enumerate and the file commands over the catalog
+    print their golden files."""
 
     def setUp(self):
         diagram._enumerate_valid.cache_clear()
@@ -144,24 +126,7 @@ class OncePerProcessTests(unittest.TestCase):
         self.assertEqual(json.loads(run(["enumerate", "--format", "json"])[1])["count"], 13)
 
     def test_output_is_unchanged(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = []
-            for i, entry in enumerate(labeling.label_catalog()):
-                path = Path(tmp) / f"e{i:02d}.txt"
-                path.write_text(labeling.format_annulus(entry.diagram))
-                paths.append(str(path))
-            for fmt in ("text", "json"):
-                runs = {
-                    f"enumerate {fmt}": ["enumerate"],
-                    f"enumerate --labels {fmt}": ["enumerate", "--labels"],
-                    f"enumerate --drop-bigon-rule {fmt}": ["enumerate", "--drop-bigon-rule"],
-                    **{f"{cmd} {fmt}": [cmd, *paths] for cmd in ("validate", "classify", "symmetry")},
-                }
-                for name, argv in runs.items():
-                    code, out, _ = run([*argv, "--format", fmt])
-                    self.assertEqual(code, 0, name)
-                    digest = hashlib.sha256(out.replace(tmp, "<tmp>").encode()).hexdigest()
-                    self.assertEqual(digest, self.OUTPUT_SHA256[name], name)
+        assert_pinned(self, catalog_runs, 0)
 
 
 class AnnulusFileTests(unittest.TestCase):
@@ -993,7 +958,7 @@ class MutatedCodeTests(unittest.TestCase):
             Path(path).write_text(text)
             for argv in (
                 ["analyze", path, "--format", "json",
-                 *(f"--assert={a}" for a in AnalyzeOutputTests.ASSERTED)],
+                 *(f"--assert={a}" for a in ASSERTED)],
                 ["linking", path, "--components", ",".join(names)],
                 ["loop", path, "--vertex", vertex[1], "--pair", ",".join(ends),
                  *(["--mirror"] if data.draw(st.booleans()) else [])],
@@ -1047,67 +1012,137 @@ class MutatedAnnulusFileTests(unittest.TestCase):
                     self.assertNotIn("internal error", err, (command, fmt))
 
 
+# --- pinned whole replies ------------------------------------------------------
+#
+# Each pinned run prints the file of its name under tests/golden, byte for
+# byte, with its temporary directory written as <tmp>. A runs(tmp) function
+# writes the inputs of its runs into tmp and returns (file name, argv) pairs;
+# tests/golden/regen.py rewrites the files from PINNED_RUNS.
+
+GOLDEN = Path(__file__).parent / "golden"
+ASSERTED = ("atoroidal=true", "planar=false", "tunnel=t")
+
+
+def write(tmp: str, name: str, text: str) -> str:
+    path = Path(tmp) / name
+    path.write_text(text)
+    return str(path)
+
+
+def family(tmp: str, name: str, *argv: str) -> str:
+    path = str(Path(tmp) / name)
+    run(["family", *argv, "-o", path])
+    return path
+
+
+def catalog_runs(tmp: str) -> list[tuple[str, list[str]]]:
+    """enumerate, and validate, classify and symmetry on the 66 catalog
+    entries, one file each, in text and JSON."""
+    paths = [write(tmp, f"e{i:02d}.txt", labeling.format_annulus(entry.diagram))
+             for i, entry in enumerate(labeling.label_catalog())]
+    commands = (("enumerate", ["enumerate"]),
+                ("enumerate-labels", ["enumerate", "--labels"]),
+                ("enumerate-drop-bigon-rule", ["enumerate", "--drop-bigon-rule"]),
+                *((f"{cmd}-catalog", [cmd, *paths]) for cmd in ("validate", "classify", "symmetry")))
+    return [(f"{name}.{ext}", [*argv, "--format", fmt])
+            for fmt, ext in (("text", "txt"), ("json", "json")) for name, argv in commands]
+
+
+def analyze_runs(tmp: str) -> list[tuple[str, list[str]]]:
+    """One analyze, in text and JSON, without and with the ASSERTED facts,
+    over tunnel thetas and handcuffs of the closed 2-braid family, plain and
+    mirrored, both ringed codes, the spine with a single and a double
+    looping, and a 3-component link."""
+    paths = []
+    for n in ("3", "4", "5", "10"):
+        paths.append(family(tmp, f"torus-{n}.txt", "torus-link", "--n", n, "--tunnel"))
+        paths.append(family(tmp, f"torus-{n}-mirror.txt",
+                            "torus-link", "--n", n, "--tunnel", "--mirror"))
+    for ring in ("one", "both"):
+        paths.append(family(tmp, f"ringed-{ring}.txt", "odd-ringed", "--n", "5", "--ring", ring))
+    paths.append(family(tmp, "spine.txt", "spine-5-2"))
+    for name, argv in (("once.txt", ["--vertex", "u", "--pair", "ka,kb", "--tunnel", "t"]),
+                       ("twice.txt", ["--vertex", "v", "--pair", "ka+kb.0,t.1"])):
+        paths.append(str(Path(tmp) / name))
+        run(["loop", paths[-2], *argv, "-o", paths[-1]])
+    paths.append(write(tmp, "link3.txt",
+                       format_code(closed_braid([(1, 1), (1, 1), (2, 1), (2, 1)], 3))))
+    asserted = [arg for a in ASSERTED for arg in ("--assert", a)]
+    return [(f"analyze{suffix}.{ext}", ["analyze", *paths, "--format", fmt, *assertions])
+            for fmt, ext in (("text", "txt"), ("json", "json"))
+            for suffix, assertions in (("", []), ("-asserted", asserted))]
+
+
+def violating_runs(tmp: str) -> list[tuple[str, list[str]]]:
+    """validate, classify and symmetry on a file that breaks R1: all three
+    print one reply per format."""
+    bad = write(tmp, "bad.txt", BAD_LABELS)
+    return [(name, [command, bad, *fmt])
+            for command in ("validate", "classify", "symmetry")
+            for name, fmt in (("violating.txt", []), ("violating.json", ["--format", "json"]))]
+
+
+def good_and_malformed_runs(tmp: str) -> list[tuple[str, list[str]]]:
+    """analyze on a tunnel theta and a malformed code after it."""
+    theta = family(tmp, "theta.txt", "torus-link", "--n", "3", "--tunnel")
+    broken = write(tmp, "broken.txt", "graph link\nedge k\npass k x1 over sign=+\n")
+    return [("analyze-good-and-malformed.txt", ["analyze", theta, broken]),
+            ("analyze-good-and-malformed.json", ["analyze", theta, broken, "--format", "json"])]
+
+
+def linking_runs(tmp: str) -> list[tuple[str, list[str]]]:
+    """linking of T(2,4), which satisfies the mixed-type annulus obstruction,
+    and of T(2,2), whose unit linking number violates it."""
+    runs = []
+    for n in ("4", "2"):
+        path = family(tmp, f"t{n}.txt", "torus-link", "--n", n)
+        argv = ["linking", path, "--components", "a,b"]
+        runs += [(f"linking-t{n}.txt", argv), (f"linking-t{n}.json", [*argv, "--format", "json"])]
+    return runs
+
+
+PINNED_RUNS = (catalog_runs, analyze_runs, violating_runs, good_and_malformed_runs, linking_runs)
+
+
+def pinned_replies(runs) -> list[tuple[str, tuple[int, str, str]]]:
+    """The golden file name and the exit code, stdout and stderr of each run
+    of runs, with its inputs in a fresh temporary directory written as <tmp>."""
+    with tempfile.TemporaryDirectory() as tmp:
+        replies = []
+        for name, argv in runs(tmp):
+            code, out, err = run(argv)
+            replies.append((name, (code, out.replace(tmp, "<tmp>"), err)))
+        return replies
+
+
+def assert_golden(test: unittest.TestCase, name: str, out: str) -> None:
+    """out is byte for byte the golden file name; a mismatch names the file
+    and its first line that differs."""
+    path = GOLDEN / name
+    expected = path.read_bytes().decode()
+    if out == expected:
+        return
+    want, got = expected.splitlines(keepends=True), out.splitlines(keepends=True)
+    i = next((i for i, (w, g) in enumerate(zip(want, got)) if w != g), min(len(want), len(got)))
+    shown = [repr(lines[i]) if i < len(lines) else "the end of the reply" for lines in (want, got)]
+    test.fail(f"{path}: line {i + 1}: expected {shown[0]}, got {shown[1]}")
+
+
+def assert_pinned(test: unittest.TestCase, runs, code: int) -> None:
+    """Each run of runs exits with code, writes nothing to stderr and prints
+    its golden file."""
+    for name, (exit_code, out, err) in pinned_replies(runs):
+        with test.subTest(golden=name):
+            test.assertEqual((exit_code, err), (code, ""))
+            assert_golden(test, name, out)
+
+
 class AnalyzeOutputTests(unittest.TestCase):
-    """analyze prints what it printed before its error mapping, constituent
-    names and split certificate each got a single owner."""
-
-    # sha256 of stdout of one analyze over every input below, in input
-    # order, with the temporary directory written as <tmp>; recorded before
-    # that change
-    OUTPUT_SHA256 = {
-        "text": "17138afb3f8a319ad63c0cd94e0b12ffdce09e7448369ef7db1f13af6cc23a40",
-        "json": "2bf7b0e9948f96f6b4b9ea2e6792a89cb4f693bbf68563ef2dc095a785d782d1",
-        "text asserted": "e06bdac3a23b088ce744664225dbbebf4099d63c8b01668c3b21aa32084ea0d3",
-        "json asserted": "3d09a9b4d7c85199123af990d607bb9376dad035c6d2f2f9aa1c438c671241a5",
-    }
-    ASSERTED = ("atoroidal=true", "planar=false", "tunnel=t")
-
-    @staticmethod
-    def inputs(tmp: str) -> list[str]:
-        """The pinned inputs, written into tmp: tunnel thetas and handcuffs of
-        the closed 2-braid family, plain and mirrored, both ringed codes, the
-        spine with a single and a double looping, and a 3-component link."""
-        paths = []
-
-        def family(name, *argv):
-            paths.append(str(Path(tmp) / name))
-            run(["family", *argv, "-o", paths[-1]])
-
-        for n in ("3", "4", "5", "10"):
-            family(f"torus-{n}.txt", "torus-link", "--n", n, "--tunnel")
-            family(f"torus-{n}-mirror.txt", "torus-link", "--n", n, "--tunnel", "--mirror")
-        for ring in ("one", "both"):
-            family(f"ringed-{ring}.txt", "odd-ringed", "--n", "5", "--ring", ring)
-        family("spine.txt", "spine-5-2")
-        for name, argv in (("once.txt", ["--vertex", "u", "--pair", "ka,kb", "--tunnel", "t"]),
-                           ("twice.txt", ["--vertex", "v", "--pair", "ka+kb.0,t.1"])):
-            paths.append(str(Path(tmp) / name))
-            run(["loop", paths[-2], *argv, "-o", paths[-1]])
-        paths.append(str(Path(tmp) / "link3.txt"))
-        Path(paths[-1]).write_text(
-            format_code(closed_braid([(1, 1), (1, 1), (2, 1), (2, 1)], 3)))
-        return paths
-
-    @classmethod
-    def digests(cls) -> dict[str, tuple[int, str]]:
-        """Exit code and stdout digest of each pinned analyze run."""
-        out = {}
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = cls.inputs(tmp)
-            for fmt in ("text", "json"):
-                for suffix, assertions in (("", ()), (" asserted", cls.ASSERTED)):
-                    argv = ["analyze", *paths, "--format", fmt]
-                    for a in assertions:
-                        argv += ["--assert", a]
-                    code, stdout, _ = run(argv)
-                    digest = hashlib.sha256(stdout.replace(tmp, "<tmp>").encode()).hexdigest()
-                    out[fmt + suffix] = code, digest
-        return out
+    """analyze prints its pinned replies on tunnel thetas and handcuffs, ringed
+    codes, looped spines and a link."""
 
     def test_output_is_unchanged(self):
-        for name, (code, digest) in self.digests().items():
-            self.assertEqual(code, 0, name)
-            self.assertEqual(digest, self.OUTPUT_SHA256[name], name)
+        assert_pinned(self, analyze_runs, 0)
 
 
 class SpineEditTests(unittest.TestCase):
@@ -1141,150 +1176,18 @@ class SpineEditTests(unittest.TestCase):
 
 
 class WholeReplyTests(unittest.TestCase):
-    """Whole replies, text and JSON, on the paths the digests above do not
-    reach: rule violations, a malformed file among good ones, and both
-    wordings of the linking obstruction. The temporary directory is written
-    as <tmp>."""
-
-    def setUp(self):
-        self.tmp = tempfile.TemporaryDirectory()
-        self.addCleanup(self.tmp.cleanup)
-
-    def reply(self, *argv: str) -> tuple[int, str, str]:
-        code, out, err = run(list(argv))
-        return code, out.replace(self.tmp.name, "<tmp>"), err
-
-    def write(self, name: str, text: str) -> str:
-        path = Path(self.tmp.name) / name
-        path.write_text(text)
-        return str(path)
-
-    def family(self, name: str, *argv: str) -> str:
-        path = str(Path(self.tmp.name) / name)
-        self.assertEqual(run(["family", *argv, "-o", path])[0], 0)
-        return path
+    """Whole replies, text and JSON, on the paths the catalog and analyze runs
+    do not reach: rule violations, a malformed file among good ones, and both
+    wordings of the linking obstruction."""
 
     def test_violating_annulus_file(self):
-        bad = self.write("bad.txt", BAD_LABELS)
-        for command in ("validate", "classify", "symmetry"):
-            with self.subTest(command=command):
-                self.assertEqual(self.reply(command, bad), (
-                    1, "<tmp>/bad.txt: violation [R1] non-cut edge v-v cannot carry em\n", ""))
-                self.assertEqual(self.reply(command, bad, "--format", "json"), (1, (
-                    '{\n'
-                    '  "file": "<tmp>/bad.txt",\n'
-                    '  "violations": [\n'
-                    '    {\n'
-                    '      "code": "R1",\n'
-                    '      "message": "non-cut edge v-v cannot carry em"\n'
-                    '    }\n'
-                    '  ]\n'
-                    '}\n'), ""))
+        assert_pinned(self, violating_runs, 1)
 
     def test_analyze_of_a_good_and_a_malformed_file(self):
-        theta = self.family("theta.txt", "torus-link", "--n", "3", "--tunnel")
-        broken = self.write("broken.txt", "graph link\nedge k\npass k x1 over sign=+\n")
-        self.assertEqual(self.reply("analyze", theta, broken), (2, (
-            "file: <tmp>/theta.txt\n"
-            "kind: theta, 3 edges, 3 crossings\n"
-            "provenance: origin=family family=torus-link n=3 variant=tunnel\n"
-            "constituents:\n"
-            "  knot ka+kb: alexander t^2 - t + 1\n"
-            "  knot ka+t: alexander 1\n"
-            "  knot kb+t: alexander 1\n"
-            "homology of the complement: Z^2\n"
-            "  meridian ka -> (1, -1)\n"
-            "  meridian kb -> (1, 0)\n"
-            "  meridian t -> (0, 1)\n"
-            "facts:\n"
-            "  [computed] knot-trivial:ka+kb = False\n"
-            "unclassified: the exterior must be known atoroidal\n"
-            "\n"
-            "<tmp>/broken.txt: line 3: crossing x1 needs exactly one over and one under pass\n"),
-            ""))
-        self.assertEqual(self.reply("analyze", theta, broken, "--format", "json"), (2, (
-            '[\n'
-            '  {\n'
-            '    "file": "<tmp>/theta.txt",\n'
-            '    "kind": "theta",\n'
-            '    "provenance": {\n'
-            '      "origin": "family",\n'
-            '      "family": "torus-link",\n'
-            '      "n": "3",\n'
-            '      "variant": "tunnel"\n'
-            '    },\n'
-            '    "violations": [],\n'
-            '    "constituents": [\n'
-            '      {\n'
-            '        "component": "ka+kb",\n'
-            '        "alexander": "t^2 - t + 1"\n'
-            '      },\n'
-            '      {\n'
-            '        "component": "ka+t",\n'
-            '        "alexander": "1"\n'
-            '      },\n'
-            '      {\n'
-            '        "component": "kb+t",\n'
-            '        "alexander": "1"\n'
-            '      }\n'
-            '    ],\n'
-            '    "homology": {\n'
-            '      "group": "Z^2",\n'
-            '      "meridians": {\n'
-            '        "ka": [\n'
-            '          1,\n'
-            '          -1\n'
-            '        ],\n'
-            '        "kb": [\n'
-            '          1,\n'
-            '          0\n'
-            '        ],\n'
-            '        "t": [\n'
-            '          0,\n'
-            '          1\n'
-            '        ]\n'
-            '      }\n'
-            '    },\n'
-            '    "class": null,\n'
-            '    "unclassified": {\n'
-            '      "reason": "the exterior must be known atoroidal",\n'
-            '      "needed": [\n'
-            '        "atoroidal"\n'
-            '      ]\n'
-            '    },\n'
-            '    "facts": [\n'
-            '      {\n'
-            '        "key": "knot-trivial:ka+kb",\n'
-            '        "value": false,\n'
-            '        "provenance": "computed"\n'
-            '      }\n'
-            '    ]\n'
-            '  },\n'
-            '  {\n'
-            '    "file": "<tmp>/broken.txt",\n'
-            '    "errors": [\n'
-            '      "<tmp>/broken.txt: line 3: crossing x1 needs exactly one over and one under pass"\n'
-            '    ]\n'
-            '  }\n'
-            ']\n'), ""))
+        assert_pinned(self, good_and_malformed_runs, 2)
 
     def test_linking_obstruction_satisfied_and_violated(self):
-        for n, lk, words, possible in (
-                ("4", 2, "satisfied", "true"),
-                ("2", 1, "violated (linking number is a unit)", "false")):
-            with self.subTest(n=n):
-                path = self.family(f"t{n}.txt", "torus-link", "--n", n)
-                self.assertEqual(self.reply("linking", path, "--components", "a,b"), (0, (
-                    f"lk(a, b) = {lk}\n"
-                    f"mixed-type annulus obstruction: {words}\n"), ""))
-                self.assertEqual(
-                    self.reply("linking", path, "--components", "a,b", "--format", "json"),
-                    (0, (
-                        '{\n'
-                        f'  "file": "<tmp>/t{n}.txt",\n'
-                        f'  "linking_number": {lk},\n'
-                        f'  "mixed_type_annulus_possible": {possible}\n'
-                        '}\n'), ""))
+        assert_pinned(self, linking_runs, 0)
 
 
 class ParserReuseTests(unittest.TestCase):
@@ -1381,9 +1284,9 @@ class OneShotTests(unittest.TestCase):
         self.assertEqual(out, "0\n")
 
     def test_one_shot_output_matches_in_process(self):
-        out = self.python("-m", "hkdiag.cli", "enumerate", "--labels", "--format", "json").stdout
-        self.assertEqual(hashlib.sha256(out.encode()).hexdigest(),
-                         OncePerProcessTests.OUTPUT_SHA256["enumerate --labels json"])
+        proc = self.python("-m", "hkdiag.cli", "enumerate", "--labels", "--format", "json")
+        self.assertEqual(proc.stderr, "")
+        assert_golden(self, "enumerate-labels.json", proc.stdout)
 
     def test_a_reader_that_leaves_early_gives_141_and_no_traceback(self):
         """Output larger than a pipe's buffer fails in a write, smaller

@@ -209,6 +209,20 @@ def test_bounds_theta_hollow_not_exact():
     assert not is_fourone(ad)
 
 
+def test_fourone_needs_a_valid_diagram():
+    # the solid theta base with labels that break R4
+    r4 = labeled(SOLID, 1, THETA, [EdgeLabel("l0")] * 3)
+    assert classify_type(r4.base).as_tuple() == (3, 0, 3, "solid")
+    assert "R4" in [v.code for v in r4.violations]
+    assert not is_fourone(r4)
+    # a theta whose two nodes are both labeled, which has no type
+    two = AnnulusDiagram.unlabeled(CharDiagram([Node("v", SOLID, 2), Node("w", SOLID, 2)],
+                                               [("v", "w")] * 3))
+    with pytest.raises(ValueError):
+        classify_type(two.base)
+    assert not is_fourone(two)
+
+
 def test_no_h_label_no_bound():
     ad = labeled(HOLLOW, 1, LOOP_BRIDGE, [EdgeLabel("l0"), EdgeLabel("k1")])
     assert symmetry_bounds(ad) is None
