@@ -33,9 +33,6 @@ class _Infinite:
     def __repr__(self) -> str:
         return "INFINITE"
 
-    def __bool__(self) -> bool:
-        return True
-
 
 INFINITE = _Infinite()
 
@@ -327,8 +324,6 @@ def subgroup_index(classes: Sequence[Sequence[int]]) -> Index:
     m = IntMatrix.from_rows(classes)
     if not m.nrows:
         raise ValueError("no classes given")
-    if not m.ncols:
-        return 1
     diag = invariant_factors_of(m)
     if len(diag) < m.ncols:
         return INFINITE

@@ -173,12 +173,24 @@ class AnnulusFileTests(unittest.TestCase):
 
     def test_unreadable_nodes_and_edges_name_their_line(self):
         for text, line in (("node v hollow genus=2\nnode v solid\nedge v v\n", 2),
-                           ("node v hollow genus=2\nedge v v\nedge v w\n", 3)):
+                           ("node v hollow genus=2\nedge v v\nedge v w\n", 3),
+                           ("node v hollow genus=2\nedge v v label=k2(1/3)\n", 2)):
             p = self.path("broken.txt", text)
             for command in ("validate", "classify", "symmetry"):
                 code, out, _ = run([command, p])
                 self.assertEqual(code, 2, (text, command))
                 self.assertEqual(re.findall(r"line \d+:", out), [f"line {line}:"], out)
+
+    def test_a_cut_edge_cannot_carry_h1(self):
+        p = self.path("cut.txt", "node v hollow genus=2\nnode s solid\nedge v s label=h1\n")
+        r1 = "cut edge s-v cannot carry h1"
+        r2 = "h1 occurs only as the sole label of the single-loop diagram"
+        self.assertEqual(run(["validate", p]),
+                         (1, f"{p}: violation [R1] {r1}\n{p}: violation [R2] {r2}\n", ""))
+        code, out, _ = run(["validate", p, "--format", "json"])
+        self.assertEqual(code, 1)
+        self.assertEqual(json.loads(out), {"file": p, "violations": [
+            {"code": "R1", "message": r1}, {"code": "R2", "message": r2}]})
 
     def test_classify_reports_facts(self):
         p = self.path("h1.txt", H1_DIAGRAM)
@@ -1356,6 +1368,16 @@ class JsonTextTests(unittest.TestCase):
         for obj in ([], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[[], {}], {"b": [[]]}],
                     {"a": {"b": {"c": []}}, "d": ()}, None, True, False, 0, -7, "", "x"):
             self.assertSameAsStdlib(obj)
+
+    def test_every_pinned_json_reply_is_what_the_stdlib_writes(self):
+        """Each golden JSON reply of PINNED_RUNS, the 64 KB label catalog
+        among them, is byte for byte the stdlib's indent-2 text of itself."""
+        paths = sorted(GOLDEN.glob("*.json"))
+        self.assertIn(GOLDEN / "enumerate-labels.json", paths)
+        for path in paths:
+            with self.subTest(golden=path.name):
+                text = path.read_text()
+                self.assertEqual(text, json.dumps(json.loads(text), indent=2) + "\n")
 
     def test_bools_are_never_ints(self):
         self.assertEqual(cli._json_text([True, 1, False, 0]), "[\n  true,\n  1,\n  false,\n  0\n]")

@@ -194,6 +194,13 @@ def test_a_diagram_of_other_values_is_refused(nodes, edges, message):
     assert str(err.value) == message
 
 
+def test_node_looks_up_an_id():
+    d = diagram(SOLID, 1, [("v", "s1")])
+    assert d.node("s1") == Node("s1", SOLID)
+    with pytest.raises(KeyError):
+        d.node("s2")
+
+
 def test_solid_base_annotation_by_degree():
     pants = diagram(SOLID, 3, [("v", "s1"), ("v", "s2"), ("v", "s3")])
     assert solid_base_annotation(pants) == "I-bundle over a pair of pants"

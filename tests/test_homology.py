@@ -134,6 +134,8 @@ def test_group_rejects_bad_invariants():
         ([(1, 1), (1, -1)], 2),
         ([(1, 0), (2, 0)], INFINITE),
         ([(0, 0)], INFINITE),
+        ([()], 1),
+        ([(), ()], 1),
     ],
 )
 def test_subgroup_index(classes, expected):
@@ -142,6 +144,10 @@ def test_subgroup_index(classes, expected):
         assert got is INFINITE
     else:
         assert got == expected
+
+
+def test_infinite_is_true():
+    assert bool(INFINITE) and repr(INFINITE) == "INFINITE"
 
 
 @pytest.mark.parametrize(
@@ -155,9 +161,13 @@ def test_subgroup_index(classes, expected):
         (lambda: subgroup_index([]), ValueError),
         (lambda: subgroup_index([(1, 0), (1,)]), ValueError),
         (lambda: subgroup_index([(), (1,)]), ValueError),
+        (lambda: IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]]), ValueError),
+        (lambda: IntMatrix.from_rows([[1, 2]]).det(), ValueError),
+        (lambda: AbelianGroup(-1), ValueError),
         (lambda: bareiss_det([[1.5, 2], [3, 5]]), TypeError),
         (lambda: bareiss_det([[2, 1.5, 0], [1, 2, 1], [0, 1, 2]]), TypeError),
         (lambda: bareiss_det([[0.0]]), TypeError),
+        (lambda: bareiss_det([[1.5]]), TypeError),
         (lambda: LaurentPoly.from_dict({0: 1.5, 2.0: 2}), TypeError),
         (lambda: LaurentPoly.constant(1.5), TypeError),
         (lambda: LaurentPoly.t(2.0), TypeError),
@@ -172,8 +182,9 @@ def test_subgroup_index(classes, expected):
         (lambda: LaurentPoly(((0, 0),)), ValueError),
     ],
     ids=["float-entry", "str-entry", "float-classes", "float-rank", "float-factors",
-         "no-classes", "ragged-classes", "ragged-after-empty", "float-det-2x2",
-         "float-det-3x3", "float-zero-det", "float-laurent-terms", "float-laurent-constant",
+         "no-classes", "ragged-classes", "ragged-after-empty", "matmul-shapes",
+         "det-non-square", "negative-rank", "float-det-2x2", "float-det-3x3",
+         "float-zero-det", "float-det-1x1", "float-laurent-terms", "float-laurent-constant",
          "float-laurent-exponent", "float-laurent-coefficient", "float-det-unit",
          "float-laurent-init", "float-laurent-factor", "list-laurent-init",
          "triple-laurent-term", "unsorted-laurent-init", "repeated-laurent-exponent",
@@ -181,7 +192,8 @@ def test_subgroup_index(classes, expected):
 )
 def test_bad_values_are_refused_where_built(build, error):
     """A float or a string is refused where the value is built, not rounded,
-    and so are an empty or ragged set of classes. A determinant of floats is
+    and so are an empty or ragged set of classes, a product or determinant
+    of the wrong shapes and a negative rank. A determinant of floats is
     refused, not computed with inexact division (it read 1.0 and 2.0 for
     1.5 and 3), and so is a float unit (3.0 for 3). LaurentPoly's own
     constructor refuses what its sorted sparse form cannot hold: non-int
@@ -231,8 +243,10 @@ def test_laurent_arithmetic():
     p = t * t - t + one
     assert str(p) == "t^2 - t + 1"
     assert p.coeff(2) == 1 and p.coeff(1) == -1 and p.coeff(0) == 1
+    assert p.coeff(3) == 0 and p.coeff(-1) == 0
     assert sum(c for _, c in p.terms) == 1
     assert (p - p).is_zero
+    assert str(p - p) == str(LaurentPoly()) == "0"
     q = LaurentPoly.from_dict({-1: 1, 1: 1})
     assert (q * q) == LaurentPoly.from_dict({-2: 1, 0: 2, 2: 1})
 

@@ -25,6 +25,7 @@ from hkdiag.labeling import (
     EdgeLabel,
     GroupBound,
     SymmetryBounds,
+    annulus_to_json_dict,
     derived_facts,
     format_annulus,
     is_fourone,
@@ -619,6 +620,19 @@ def test_a_node_its_file_cannot_carry_is_refused(kind, genus, message):
 def test_a_label_slot_holds_none_or_a_label():
     with pytest.raises(StructureError, match="^label slot 'h1' is neither None nor an EdgeLabel$"):
         AnnulusDiagram(diagram(HOLLOW, 0, LOOP), ["h1"])
+
+
+def test_an_annulus_diagram_has_one_label_slot_per_edge():
+    with pytest.raises(StructureError, match="^one label slot per edge required$"):
+        AnnulusDiagram(diagram(HOLLOW, 1, LOOP_BRIDGE), [EdgeLabel("h1")])
+
+
+def test_an_unlabeled_edge_is_null_in_json():
+    ad = AnnulusDiagram.unlabeled(diagram(HOLLOW, 0, LOOP))
+    assert annulus_to_json_dict(ad) == {
+        "nodes": [{"id": "v", "kind": "hollow", "genus": 2}],
+        "edges": [{"ends": ["v", "v"], "label": None}],
+    }
 
 
 def test_an_annulus_diagram_is_built_on_a_char_diagram():

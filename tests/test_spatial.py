@@ -340,6 +340,15 @@ def test_resolve_end():
         resolve_end(g, "u", "a")  # both ends of the loop are here
     with pytest.raises(StructureError):
         resolve_end(g, "u", "b")
+    with pytest.raises(StructureError, match="^bad end token 'a.2'$"):
+        resolve_end(g, "u", "a.2")
+    with pytest.raises(StructureError, match="^end t.1 is not at vertex u$"):
+        resolve_end(g, "u", "t.1")
+
+
+def test_only_a_handcuff_has_a_bridge():
+    with pytest.raises(StructureError, match="^only handcuff codes have a bridge$"):
+        bridge_of(family_torus_link(3, tunnel=True))
 
 
 def test_looping_kind_designation():
@@ -707,6 +716,13 @@ def test_a_repeated_fact_keeps_its_first_provenance():
     facts.set("planar", True, "computed")
     assert facts.entry("planar").provenance == "asserted"
     assert [e.key for e in facts.entries()] == ["planar", "split"]
+
+
+def test_a_fact_needs_a_known_provenance_and_a_class_a_known_code():
+    with pytest.raises(ValueError, match="^unknown provenance 'guessed'$"):
+        FactSet().set("split", False, "guessed")
+    with pytest.raises(ValueError, match="^unknown class 'tau9'$"):
+        GraphClass("tau9")
 
 
 def test_classify_needs_atoroidal():
@@ -1098,9 +1114,10 @@ def _replaced(g, lineno, line):
     ("graph link extra\nedge k\n", 1, "graph line needs: graph <kind>"),
     (_replaced(family_torus_link(4), 7, "pass b x4 under sign=+"),
      10, "closed strands a and b cross an odd number of times"),
+    ("graph link\nedge k\npass k x1 over sign=x\n", 3, "bad sign 'x'"),
 ], ids=["arity", "lone-pass", "two-overs", "repeated-vertex", "repeated-edge", "shared-end",
         "unknown-endpoint", "kind", "shape", "no-graph-line", "second-graph-line",
-        "graph-tokens", "odd-crossings"])
+        "graph-tokens", "odd-crossings", "bad-sign"])
 def test_parse_names_the_last_line_needed_to_see_the_defect(text, line, message):
     with pytest.raises(StructureError) as err:
         parse_code(text)
